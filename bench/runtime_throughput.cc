@@ -528,7 +528,7 @@ requiredScaling(std::size_t hwCores)
 }
 
 /**
- * CI smoke check. Twelve structural gates:
+ * CI smoke check. Thirteen structural gates:
  *
  *  1. the blocked GEMM core must beat the naive i-k-j loop it
  *     replaced on a representative per-tap shape,
@@ -558,13 +558,19 @@ requiredScaling(std::size_t hwCores)
  *     unloaded p99 — shedding buys bounded latency, not silence,
  * 11. the fused bias+ReLU epilogue must not lose to the plain blocked
  *     conv followed by a separate bias/ReLU pass on the wide layer —
- *     the deleted memory pass must actually buy time, and
+ *     the deleted memory pass must actually buy time,
  * 12. the binary16-storage blocked engine must hold >= 0.9x the fp32
  *     blocked session's end-to-end throughput on a three-deep wide-64
  *     chain while its output stays within 40 half-ULPs of the fp32
  *     output range (on soft-half hosts the throughput requirement
  *     degrades to a no-collapse bound; the accuracy bound always
- *     holds).
+ *     holds), and
+ * 13. ("wide-64-dp") chain-aware layout planning (SessionConfig::
+ *     chainDp) must not lose to the per-layer argmin plan it replaces
+ *     on that three-deep wide-64 chain at batch 8: both sessions
+ *     autoSelect, and the DP session's best-of-7 run must stay within
+ *     1.10x of the argmin session's. When both plans come out equal,
+ *     the gate times identical plans and reads pure noise.
  *
  * The timed gates carry a 10% slack so a scheduling blip on a shared
  * CI runner cannot flip a structural claim into a flake; an actual

@@ -23,11 +23,17 @@
  *    hardware the blocked product is bit-identical to the NCHW
  *    per-tap GEMM.
  *
- *  - kron: the B^T (x) B^T / A^T (x) A^T row passes over the flat
- *    blocked buffers. Rows are contiguous in either layout; the
- *    explicit kernel vectorizes the AXPY chain with FMA (the first
- *    term a multiply, later terms fused multiply-adds, scalar tail
- *    via std::fma so lane position never changes rounding).
+ *  - kron: the B^T (x) B^T / A^T (x) A^T passes over the flat
+ *    blocked buffers, run in L1-sized column strips
+ *    (winograd/tiled.hh kronStrips). Each strip of every input row
+ *    is first copied into one contiguous stack buffer: the rows sit a
+ *    multiple of 4 KiB apart, so read in place they all map onto the
+ *    same L1 sets. Each output row's segment then accumulates in
+ *    registers across all its terms and is stored once, instead of
+ *    one load-FMA-store sweep of the whole row per term. The explicit
+ *    kernel multiplies by the first term and fuses a multiply-add per
+ *    later term; a short tail block takes the same vector path, so
+ *    lane position never changes rounding.
  */
 
 #ifndef TWQ_LAYOUT_KERNELS_HH
@@ -261,7 +267,7 @@ scalarTapGemmD(const double *w, const double *u, double *m,
     }
 }
 
-/** Scalar reference kron row pass (same schedule as applyKron). */
+/** Scalar reference kron pass: applyKron itself. */
 template <typename Dummy = void>
 static void
 scalarKronD(const WinoKronPlan<double> &plan, const double *x,
@@ -270,7 +276,7 @@ scalarKronD(const WinoKronPlan<double> &plan, const double *x,
     applyKron(plan, x, len, y);
 }
 
-/** Scalar reference integer kron row pass. */
+/** Scalar reference integer kron pass. */
 template <typename Dummy = void>
 static void
 scalarKronI32(const WinoKronPlan<std::int32_t> &plan,

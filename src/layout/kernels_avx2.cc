@@ -8,11 +8,12 @@
  * holds a kTapPr x 8 accumulator tile in eight ymm registers, reads
  * each 8-channel weight vector with two contiguous loads, and
  * broadcasts U elements — every access on the blocked layout is unit
- * stride. All accumulation (including the kron scalar tail via
- * std::fma) is fused, in the same ascending-channel order as the
- * blocked gemm core, so results are bit-identical to the NCHW path on
- * FMA hardware and never depend on where an element falls in the
- * vector schedule.
+ * stride. All accumulation is fused, in the same ascending-channel
+ * order as the blocked gemm core, so results are bit-identical to the
+ * NCHW path on FMA hardware. The kron passes run in column strips
+ * (winograd/tiled.hh kronStrips) whose short tail block takes the
+ * full-width vector path, so no element's rounding depends on where
+ * it falls in the vector schedule.
  */
 
 #include "layout/kernels.hh"
@@ -74,44 +75,40 @@ avx2TapGemmD(const double *w, const double *u, double *m,
     }
 }
 
+/// ymm accumulators per kron register block: with two FMA ports at
+/// four cycles' latency, eight independent chains keep both busy.
+constexpr std::size_t kKronAcc = 8;
+
+/**
+ * FP kron pass in column strips (kronStrips): each 32-column block
+ * of an output row accumulates in eight ymm registers across all of
+ * the row's terms — a multiply for the first, one FMA per later term
+ * in plan order — and is stored once.
+ */
 void
 avx2KronD(const WinoKronPlan<double> &plan, const double *x,
           std::size_t len, double *y)
 {
-    for (std::size_t r = 0; r < plan.rowsOut; ++r) {
-        double *yr = y + r * len;
-        const std::uint32_t begin = plan.rowStart[r];
-        const std::uint32_t end = plan.rowStart[r + 1];
-        if (begin == end) {
-            std::fill(yr, yr + len, 0.0);
-            continue;
-        }
-        {
-            const auto &t0 = plan.terms[begin];
-            const double *xr = x + t0.in * len;
-            const __m256d cv = _mm256_set1_pd(t0.coeff);
-            std::size_t l = 0;
-            for (; l + 4 <= len; l += 4)
-                _mm256_storeu_pd(
-                    yr + l,
-                    _mm256_mul_pd(cv, _mm256_loadu_pd(xr + l)));
-            for (; l < len; ++l)
-                yr[l] = t0.coeff * xr[l];
-        }
-        for (std::uint32_t ti = begin + 1; ti < end; ++ti) {
-            const auto &term = plan.terms[ti];
-            const double *xr = x + term.in * len;
-            const __m256d cv = _mm256_set1_pd(term.coeff);
-            std::size_t l = 0;
-            for (; l + 4 <= len; l += 4)
-                _mm256_storeu_pd(
-                    yr + l,
-                    _mm256_fmadd_pd(cv, _mm256_loadu_pd(xr + l),
-                                    _mm256_loadu_pd(yr + l)));
-            for (; l < len; ++l)
-                yr[l] = std::fma(term.coeff, xr[l], yr[l]);
-        }
-    }
+    constexpr std::size_t V = 4;
+    kronStrips<kKronAcc * V>(
+        plan, x, len, y,
+        [](const double *src, std::size_t stride, const auto *t,
+           std::size_t n, double *out) {
+            __m256d acc[kKronAcc];
+            const double *s0 = src + t[0].in * stride;
+            const __m256d c0 = _mm256_set1_pd(t[0].coeff);
+            for (std::size_t k = 0; k < kKronAcc; ++k)
+                acc[k] = _mm256_mul_pd(c0, _mm256_loadu_pd(s0 + k * V));
+            for (std::size_t i = 1; i < n; ++i) {
+                const double *s = src + t[i].in * stride;
+                const __m256d c = _mm256_set1_pd(t[i].coeff);
+                for (std::size_t k = 0; k < kKronAcc; ++k)
+                    acc[k] = _mm256_fmadd_pd(
+                        c, _mm256_loadu_pd(s + k * V), acc[k]);
+            }
+            for (std::size_t k = 0; k < kKronAcc; ++k)
+                _mm256_storeu_pd(out + k * V, acc[k]);
+        });
 }
 
 /**
@@ -162,69 +159,50 @@ avx2TapGemmI16(const std::int16_t *w, const std::int16_t *u,
 }
 
 /**
- * Integer kron row passes: vpmulld/vpaddd AXPY chains (exact), with
- * +-1 coefficients — the majority for F2, common for F4 — taking a
- * multiply-free add/sub path (vpmulld costs two uops on most cores).
+ * Integer kron pass in column strips: exact int32 sums accumulate in
+ * eight ymm registers per 64-column block, with +-1 coefficients —
+ * the majority for F2, common for F4 — taking a multiply-free
+ * add/sub path (vpmulld costs two uops on most cores).
  */
 void
 avx2KronI32(const WinoKronPlan<std::int32_t> &plan,
             const std::int32_t *x, std::size_t len, std::int32_t *y)
 {
-    const __m256i zero = _mm256_setzero_si256();
-    for (std::size_t r = 0; r < plan.rowsOut; ++r) {
-        std::int32_t *yr = y + r * len;
-        const std::uint32_t begin = plan.rowStart[r];
-        const std::uint32_t end = plan.rowStart[r + 1];
-        if (begin == end) {
-            std::fill(yr, yr + len, 0);
-            continue;
-        }
-        {
-            const auto &t0 = plan.terms[begin];
-            const std::int32_t *xr = x + t0.in * len;
-            const __m256i cv = _mm256_set1_epi32(t0.coeff);
-            std::size_t l = 0;
-            for (; l + 8 <= len; l += 8) {
-                const __m256i xv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(xr + l));
-                __m256i v;
-                if (t0.coeff == 1)
-                    v = xv;
-                else if (t0.coeff == -1)
-                    v = _mm256_sub_epi32(zero, xv);
-                else
-                    v = _mm256_mullo_epi32(cv, xv);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(yr + l), v);
+    constexpr std::size_t V = 8;
+    kronStrips<kKronAcc * V>(
+        plan, x, len, y,
+        [](const std::int32_t *src, std::size_t stride, const auto *t,
+           std::size_t n, std::int32_t *out) {
+            const auto load = [](const std::int32_t *p) {
+                return _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(p));
+            };
+            __m256i acc[kKronAcc];
+            for (std::size_t k = 0; k < kKronAcc; ++k)
+                acc[k] = _mm256_setzero_si256();
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::int32_t *s = src + t[i].in * stride;
+                const std::int32_t c = t[i].coeff;
+                if (c == 1) {
+                    for (std::size_t k = 0; k < kKronAcc; ++k)
+                        acc[k] = _mm256_add_epi32(acc[k],
+                                                  load(s + k * V));
+                } else if (c == -1) {
+                    for (std::size_t k = 0; k < kKronAcc; ++k)
+                        acc[k] = _mm256_sub_epi32(acc[k],
+                                                  load(s + k * V));
+                } else {
+                    const __m256i cv = _mm256_set1_epi32(c);
+                    for (std::size_t k = 0; k < kKronAcc; ++k)
+                        acc[k] = _mm256_add_epi32(
+                            acc[k],
+                            _mm256_mullo_epi32(cv, load(s + k * V)));
+                }
             }
-            for (; l < len; ++l)
-                yr[l] = t0.coeff * xr[l];
-        }
-        for (std::uint32_t ti = begin + 1; ti < end; ++ti) {
-            const auto &term = plan.terms[ti];
-            const std::int32_t *xr = x + term.in * len;
-            const __m256i cv = _mm256_set1_epi32(term.coeff);
-            std::size_t l = 0;
-            for (; l + 8 <= len; l += 8) {
-                const __m256i xv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(xr + l));
-                const __m256i yv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(yr + l));
-                __m256i v;
-                if (term.coeff == 1)
-                    v = _mm256_add_epi32(yv, xv);
-                else if (term.coeff == -1)
-                    v = _mm256_sub_epi32(yv, xv);
-                else
-                    v = _mm256_add_epi32(
-                        yv, _mm256_mullo_epi32(cv, xv));
+            for (std::size_t k = 0; k < kKronAcc; ++k)
                 _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(yr + l), v);
-            }
-            for (; l < len; ++l)
-                yr[l] += term.coeff * xr[l];
-        }
-    }
+                    reinterpret_cast<__m256i *>(out + k * V), acc[k]);
+        });
 }
 
 /**

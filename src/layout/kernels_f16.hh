@@ -25,8 +25,10 @@
  *    bandwidth in the innermost loop. Accumulation is fused (fmaf in
  *    the scalar path) in ascending input-channel order.
  *
- *  - kron: applyKron over float rows (B^T (x) B^T / A^T (x) A^T row
- *    passes of the float intermediate buffers).
+ *  - kron: applyKron over float rows (the B^T (x) B^T / A^T (x) A^T
+ *    passes of the float intermediate buffers), in the same L1-sized
+ *    column strips as the double kernel (winograd/tiled.hh
+ *    kronStrips).
  */
 
 #ifndef TWQ_LAYOUT_KERNELS_F16_HH
@@ -229,7 +231,7 @@ softTapGemmF16(const std::uint16_t *w, const float *u, float *m,
     }
 }
 
-/** Scalar reference float kron row pass. */
+/** Scalar reference float kron pass: applyKron itself. */
 template <typename Dummy = void>
 static void
 softKronF(const WinoKronPlan<float> &plan, const float *x,

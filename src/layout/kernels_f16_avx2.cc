@@ -92,44 +92,37 @@ avx2TapGemmF16(const std::uint16_t *w, const float *u, float *m,
     }
 }
 
+/**
+ * Float kron pass in column strips (winograd/tiled.hh kronStrips):
+ * each 64-column block of an output row accumulates in eight ymm
+ * registers across all of the row's terms — a multiply for the
+ * first, one FMA per later term in plan order — and is stored once.
+ */
 void
 avx2KronF(const WinoKronPlan<float> &plan, const float *x,
           std::size_t len, float *y)
 {
-    for (std::size_t r = 0; r < plan.rowsOut; ++r) {
-        float *yr = y + r * len;
-        const std::uint32_t begin = plan.rowStart[r];
-        const std::uint32_t end = plan.rowStart[r + 1];
-        if (begin == end) {
-            std::fill(yr, yr + len, 0.0f);
-            continue;
-        }
-        {
-            const auto &t0 = plan.terms[begin];
-            const float *xr = x + t0.in * len;
-            const __m256 cv = _mm256_set1_ps(t0.coeff);
-            std::size_t l = 0;
-            for (; l + 8 <= len; l += 8)
-                _mm256_storeu_ps(
-                    yr + l,
-                    _mm256_mul_ps(cv, _mm256_loadu_ps(xr + l)));
-            for (; l < len; ++l)
-                yr[l] = t0.coeff * xr[l];
-        }
-        for (std::uint32_t ti = begin + 1; ti < end; ++ti) {
-            const auto &term = plan.terms[ti];
-            const float *xr = x + term.in * len;
-            const __m256 cv = _mm256_set1_ps(term.coeff);
-            std::size_t l = 0;
-            for (; l + 8 <= len; l += 8)
-                _mm256_storeu_ps(
-                    yr + l,
-                    _mm256_fmadd_ps(cv, _mm256_loadu_ps(xr + l),
-                                    _mm256_loadu_ps(yr + l)));
-            for (; l < len; ++l)
-                yr[l] = std::fmaf(term.coeff, xr[l], yr[l]);
-        }
-    }
+    constexpr std::size_t V = 8;
+    constexpr std::size_t K = 8; // two FMA ports x four cycles
+    kronStrips<K * V>(
+        plan, x, len, y,
+        [](const float *src, std::size_t stride, const auto *t,
+           std::size_t n, float *out) {
+            __m256 acc[K];
+            const float *s0 = src + t[0].in * stride;
+            const __m256 c0 = _mm256_set1_ps(t[0].coeff);
+            for (std::size_t k = 0; k < K; ++k)
+                acc[k] = _mm256_mul_ps(c0, _mm256_loadu_ps(s0 + k * V));
+            for (std::size_t i = 1; i < n; ++i) {
+                const float *s = src + t[i].in * stride;
+                const __m256 c = _mm256_set1_ps(t[i].coeff);
+                for (std::size_t k = 0; k < K; ++k)
+                    acc[k] = _mm256_fmadd_ps(
+                        c, _mm256_loadu_ps(s + k * V), acc[k]);
+            }
+            for (std::size_t k = 0; k < K; ++k)
+                _mm256_storeu_ps(out + k * V, acc[k]);
+        });
 }
 
 } // namespace

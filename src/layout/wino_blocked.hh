@@ -16,18 +16,22 @@
  * buffers — no per-element `x[((n*C+c)*H+y)*W+x]` addressing — and
  * the per-tap GEMM broadcasts U elements against 8-wide contiguous
  * weight vectors (layout/kernels.hh), with the c-block as the SIMD
- * lane dimension throughout. Kron row passes are identical row AXPYs
- * to the NCHW path, just over blocked rows, dispatched to FMA
- * kernels.
+ * lane dimension throughout. The kron passes apply the same plans as
+ * the NCHW path, just over blocked rows, dispatched to FMA kernels
+ * that run them in L1-sized column strips (winograd/tiled.hh
+ * kronStrips): a strip of every input row is copied into one
+ * contiguous buffer, then each output row's segment is summed in
+ * registers over all its terms and stored once.
  *
  * Numerics: the per-element accumulation order (ascending input
  * channel, one fused multiply-add each) matches the blocked gemm
  * core, so on FMA hardware the blocked pipeline is bit-identical to
  * the NCHW tiled path per stage up to the kron passes (whose explicit
- * FMA may differ from the autovectorized NCHW transform in the last
- * ulp — tolerance-equal where FMA contracts). Within the blocked
- * path every element's sum is independent of P, so batched execution
- * is bit-identical to sequential.
+ * FMA may differ from the portable NCHW transform's multiply-then-add
+ * in the last ulp — tolerance-equal where FMA contracts). Within the
+ * blocked path every element's sum is independent of P and of the
+ * strip it falls in, so batched execution is bit-identical to
+ * sequential.
  */
 
 #ifndef TWQ_LAYOUT_WINO_BLOCKED_HH

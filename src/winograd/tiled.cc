@@ -262,30 +262,25 @@ void
 applyKron(const WinoKronPlan<T> &plan, const T *x, std::size_t len,
           T *y)
 {
-    for (std::size_t r = 0; r < plan.rowsOut; ++r) {
-        T *yr = y + r * len;
-        const std::uint32_t begin = plan.rowStart[r];
-        const std::uint32_t end = plan.rowStart[r + 1];
-        if (begin == end) {
-            for (std::size_t l = 0; l < len; ++l)
-                yr[l] = T{};
-            continue;
-        }
-        {
-            const auto &t0 = plan.terms[begin];
-            const T *xr = x + t0.in * len;
-            const T c = t0.coeff;
-            for (std::size_t l = 0; l < len; ++l)
-                yr[l] = c * xr[l];
-        }
-        for (std::uint32_t ti = begin + 1; ti < end; ++ti) {
-            const auto &term = plan.terms[ti];
-            const T *xr = x + term.in * len;
-            const T c = term.coeff;
-            for (std::size_t l = 0; l < len; ++l)
-                yr[l] += c * xr[l];
-        }
-    }
+    // Sixteen lanes: eight baseline SSE2 registers of doubles.
+    constexpr std::size_t kBlock = 16;
+    kronStrips<kBlock>(
+        plan, x, len, y,
+        [](const T *src, std::size_t stride, const auto *t,
+           std::size_t n, T *out) {
+            T acc[kBlock];
+            const T *s0 = src + t[0].in * stride;
+            for (std::size_t j = 0; j < kBlock; ++j)
+                acc[j] = t[0].coeff * s0[j];
+            for (std::size_t i = 1; i < n; ++i) {
+                const T *s = src + t[i].in * stride;
+                const T c = t[i].coeff;
+                for (std::size_t j = 0; j < kBlock; ++j)
+                    acc[j] += c * s[j];
+            }
+            for (std::size_t j = 0; j < kBlock; ++j)
+                out[j] = acc[j];
+        });
 }
 
 template <typename T>

@@ -28,8 +28,10 @@
 #define TWQ_WINOGRAD_TILED_HH
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/logging.hh"
 #include "gemm/gemm.hh"
 #include "gemm/parallel.hh"
 #include "tensor/im2col.hh"
@@ -98,10 +100,11 @@ WinogradTapWeights<T> tapMajorWeights(const WinogradWeights<T> &w);
  * Sparse schedule of a tile transform L s L^T, flattened to the
  * Kronecker product L ⊗ L acting on the tap dimension: output row r
  * is Σ coeff * input row `in` over this row's terms. Applied to the
- * flat [taps, C*P] buffers, every pass is a contiguous row AXPY, so
- * the transforms vectorize exactly like the per-tap GEMM instead of
- * running tiny t x t matmuls per tile. Zero entries of L (half of
- * B^T/A^T for F2/F4) never appear as terms.
+ * flat [taps, C*P] buffers, every column of a pass is the same short
+ * sum, so the transforms vectorize along the rows instead of running
+ * tiny t x t matmuls per tile. Zero entries of L (half of B^T/A^T
+ * for F2/F4) never appear as terms. Every kernel runs a plan in
+ * L1-sized column strips (kronStrips below).
  */
 template <typename T>
 struct WinoKronPlan
@@ -137,10 +140,104 @@ const WinoKronPlan<T> &winoInputKronT(WinoVariant v);
 template <typename T>
 const WinoKronPlan<T> &winoOutputKronT(WinoVariant v);
 
-/** y[r] = Σ coeff * x[in] over rows of length `len`. */
+/**
+ * y[r] = Σ coeff * x[in] over rows of length `len`: per element a
+ * multiply by the first term's coefficient, then `acc += coeff * x`
+ * per later term in plan order (exact for integer T).
+ */
 template <typename T>
 void applyKron(const WinoKronPlan<T> &plan, const T *x, std::size_t len,
                T *y);
+
+/**
+ * Bytes of the stack buffer a Kronecker pass stages one column strip
+ * of its input rows in: half of a 48 KiB L1d, leaving room for the
+ * output segments the strip writes.
+ */
+inline constexpr std::size_t kKronStripBytes = 24 * 1024;
+
+/// Most input rows of any plan (F6: t*t = 64).
+inline constexpr std::size_t kKronMaxRows = 64;
+
+/**
+ * Strip width, in elements, of a pass over `rowsIn` input rows of
+ * `elemBytes`-byte elements: the widest multiple of a kernel's
+ * register block `block` whose rowsIn segments fit the strip buffer.
+ * An F4 input pass of doubles in 32-wide blocks gets 64 columns.
+ */
+constexpr std::size_t
+kronStripLen(std::size_t rowsIn, std::size_t elemBytes,
+             std::size_t block)
+{
+    return kKronStripBytes / (rowsIn * elemBytes) / block * block;
+}
+
+/**
+ * The column-strip schedule every Kronecker kernel runs (applyKron
+ * and the layout kernels' kron entries). A row-at-a-time pass
+ * re-reads and re-writes its whole output row once per term, so F4's
+ * 484-term input pass moves some 40x the bytes it transforms; and
+ * since rows sit a multiple of 4 KiB apart, a strip read in place
+ * maps every input row onto the same L1 sets. So for each strip of
+ * kronStripLen(rowsIn, sizeof(T), Block) columns:
+ *
+ *  1. copy the strip's segment of every input row into one
+ *     contiguous L1-sized buffer, zero-padded to whole blocks;
+ *  2. for each output row, call `block(src, stride, terms, n, out)`
+ *     once per Block columns: it sums the row's n terms over
+ *     src + terms[i].in * stride in registers and stores its Block
+ *     results to `out` once.
+ *
+ * A final block narrower than Block is computed into a stack block
+ * and its valid prefix copied out. Every element therefore gets the
+ * exact operation sequence `block` gives a lane, whatever its strip
+ * or position. Output rows without terms are zeroed.
+ *
+ * `static`, like the scalar kernels of layout/kernels.hh: each TU
+ * compiles its own copy under its own instruction-set flags.
+ */
+template <std::size_t Block, typename T, typename BlockFn>
+static void
+kronStrips(const WinoKronPlan<T> &plan, const T *x, std::size_t len,
+           T *y, BlockFn &&block)
+{
+    static_assert(Block * kKronMaxRows * sizeof(T) <= kKronStripBytes,
+                  "one block of the widest plan must fit the strip "
+                  "buffer");
+    twq_assert(plan.rowsIn <= kKronMaxRows,
+               "kron plan has more input rows than the strip buffer "
+               "holds");
+    alignas(64) T buf[kKronStripBytes / sizeof(T)];
+    const std::size_t S = kronStripLen(plan.rowsIn, sizeof(T), Block);
+    for (std::size_t l0 = 0; l0 < len; l0 += S) {
+        const std::size_t w = len - l0 < S ? len - l0 : S;
+        const std::size_t wPad = (w + Block - 1) / Block * Block;
+        for (std::size_t i = 0; i < plan.rowsIn; ++i) {
+            T *seg = buf + i * S;
+            std::memcpy(seg, x + i * len + l0, w * sizeof(T));
+            for (std::size_t l = w; l < wPad; ++l)
+                seg[l] = T{};
+        }
+        for (std::size_t r = 0; r < plan.rowsOut; ++r) {
+            const auto *terms = plan.terms.data() + plan.rowStart[r];
+            const std::size_t n = plan.rowStart[r + 1] - plan.rowStart[r];
+            T *yr = y + r * len + l0;
+            if (n == 0) {
+                for (std::size_t l = 0; l < w; ++l)
+                    yr[l] = T{};
+                continue;
+            }
+            std::size_t l = 0;
+            for (; l + Block <= w; l += Block)
+                block(buf + l, S, terms, n, yr + l);
+            if (l < w) {
+                alignas(64) T tail[Block];
+                block(buf + l, S, terms, n, tail);
+                std::memcpy(yr + l, tail, (w - l) * sizeof(T));
+            }
+        }
+    }
+}
 
 /**
  * Stage 1 of the scatter: copy every (padded) input tile of the batch

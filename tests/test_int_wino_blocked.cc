@@ -16,12 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.hh"
 #include "layout/kernels.hh"
+#include "layout/kernels_f16.hh"
 #include "quant/int_wino_blocked.hh"
 #include "quant/quantizer.hh"
 #include "runtime/thread_pool.hh"
@@ -396,22 +400,154 @@ TEST(BlockedIntKernels, QuantizeI32MatchesScalarQuantize)
     }
 }
 
+/**
+ * Row-at-a-time oracle of a kron pass: each output row is built term
+ * by term over whole rows, so it shares no schedule with the strip
+ * kernels. Per element: a multiply for the first term, then per later
+ * term a fused multiply-add (`fused`, the explicit SIMD kernels) or a
+ * multiply and an add (applyKron); integer sums are exact either way.
+ */
+template <typename T>
+std::vector<T>
+kronRowOracle(const WinoKronPlan<T> &plan, const std::vector<T> &x,
+              std::size_t len, bool fused)
+{
+    std::vector<T> y(plan.rowsOut * len, T{});
+    for (std::size_t r = 0; r < plan.rowsOut; ++r) {
+        T *yr = y.data() + r * len;
+        for (std::uint32_t ti = plan.rowStart[r];
+             ti < plan.rowStart[r + 1]; ++ti) {
+            const T c = plan.terms[ti].coeff;
+            const T *xr = x.data() + plan.terms[ti].in * len;
+            for (std::size_t l = 0; l < len; ++l) {
+                if (ti == plan.rowStart[r])
+                    yr[l] = c * xr[l];
+                else if (fused)
+                    yr[l] = std::fma(c, xr[l], yr[l]);
+                else
+                    yr[l] += c * xr[l];
+            }
+        }
+    }
+    return y;
+}
+
+/** Index of the first element whose bits differ, or -1. */
+template <typename T>
+std::ptrdiff_t
+firstBitMismatch(const std::vector<T> &a, const std::vector<T> &b)
+{
+    const auto same = [](const T &x, const T &y) {
+        return std::memcmp(&x, &y, sizeof(T)) == 0;
+    };
+    const auto [ia, ib] =
+        std::mismatch(a.begin(), a.end(), b.begin(), b.end(), same);
+    return ia == a.end() && ib == b.end() ? -1 : ia - a.begin();
+}
+
+/**
+ * Row lengths that put a strip edge at every offset a kron kernel
+ * meets: 1 and 7 (one short block), one less than, equal to and one
+ * more than a strip, 3 strips plus a tail, and 32768 (a 256 KiB row
+ * of doubles, 4 KiB-aliased like a batch-8 wide-64 layer). Strips are
+ * derived for both element sizes and every register-block width a
+ * kernel uses: 16 (applyKron), 32 (AVX2 doubles), 64 (AVX2 floats and
+ * int32).
+ */
+std::vector<std::size_t>
+kronLengths(std::size_t rowsIn)
+{
+    std::vector<std::size_t> lens = {1, 7, 32768};
+    for (const std::size_t elemBytes : {4, 8})
+        for (const std::size_t block : {16, 32, 64}) {
+            const std::size_t s =
+                kronStripLen(rowsIn, elemBytes, block);
+            if (s == 0) // no kernel pairs this block with this size
+                continue;
+            lens.insert(lens.end(), {s - 1, s, s + 1, 3 * s + 5});
+        }
+    std::sort(lens.begin(), lens.end());
+    lens.erase(std::unique(lens.begin(), lens.end()), lens.end());
+    return lens;
+}
+
 TEST(BlockedIntKernels, KronI32MatchesScalarReference)
 {
     Rng rng(73);
     for (const WinoVariant v : {WinoVariant::F2, WinoVariant::F4}) {
         const WinoKronPlan<std::int32_t> &plan =
             winoInputKron<std::int32_t>(v);
-        const std::size_t len = 61; // odd: exercises the vector tail
-        std::vector<std::int32_t> x(plan.rowsIn * len);
-        for (auto &val : x)
-            val = static_cast<std::int32_t>(
-                rng.uniformInt(-1000, 1000));
-        std::vector<std::int32_t> ref(plan.rowsOut * len, -1);
-        std::vector<std::int32_t> got(plan.rowsOut * len, -2);
-        applyKron(plan, x.data(), len, ref.data());
-        layout::kernels().kronI32(plan, x.data(), len, got.data());
-        EXPECT_EQ(got, ref) << winoName(v);
+        for (const std::size_t len : kronLengths(plan.rowsIn)) {
+            std::vector<std::int32_t> x(plan.rowsIn * len);
+            for (auto &val : x)
+                val = static_cast<std::int32_t>(
+                    rng.uniformInt(-1000, 1000));
+            const std::vector<std::int32_t> ref =
+                kronRowOracle(plan, x, len, false);
+            std::vector<std::int32_t> got(plan.rowsOut * len, -2);
+            layout::kernels().kronI32(plan, x.data(), len, got.data());
+            EXPECT_EQ(got, ref) << winoName(v) << " len=" << len;
+            std::fill(got.begin(), got.end(), -3);
+            applyKron(plan, x.data(), len, got.data());
+            EXPECT_EQ(got, ref)
+                << "applyKron " << winoName(v) << " len=" << len;
+        }
+    }
+}
+
+/**
+ * The FP kron kernels against the row oracle, bit for bit, under each
+ * kernel's own rounding contract: the double layout kernel and the
+ * f16 engine's float kernel fuse when they are the explicit SIMD
+ * ones, the portable applyKron (and the scalar tables that forward to
+ * it) multiplies then adds.
+ */
+TEST(BlockedIntKernels, KronFpMatchesRowOracleBitwise)
+{
+    const auto kd = layout::kernels().kron;
+    const bool fusedD = kd == layout::avx2LayoutKernels().kron ||
+                        kd == layout::neonLayoutKernels().kron;
+    const auto kf = layout::f16Kernels().kron;
+    const bool fusedF = kf == layout::avx2F16Kernels().kron;
+    Rng rng(74);
+    for (const WinoVariant v :
+         {WinoVariant::F2, WinoVariant::F4, WinoVariant::F6}) {
+        for (const bool input : {true, false}) {
+            const WinoKronPlan<double> &pd =
+                input ? winoInputKron<double>(v) : winoOutputKron<double>(v);
+            const WinoKronPlan<float> &pf =
+                input ? winoInputKron<float>(v) : winoOutputKron<float>(v);
+            const std::string plan =
+                std::string(winoName(v)) + (input ? " in" : " out");
+            for (const std::size_t len : kronLengths(pd.rowsIn)) {
+                std::vector<double> xd(pd.rowsIn * len);
+                rng.fillNormal(xd, 0.0, 1.0);
+                const std::vector<float> xf(xd.begin(), xd.end());
+                std::vector<double> yd(pd.rowsOut * len, -1.0);
+                std::vector<float> yf(pf.rowsOut * len, -1.0f);
+
+                kd(pd, xd.data(), len, yd.data());
+                EXPECT_EQ(firstBitMismatch(
+                              yd, kronRowOracle(pd, xd, len, fusedD)),
+                          -1)
+                    << "kernels().kron " << plan << " len=" << len;
+                applyKron(pd, xd.data(), len, yd.data());
+                EXPECT_EQ(firstBitMismatch(
+                              yd, kronRowOracle(pd, xd, len, false)),
+                          -1)
+                    << "applyKron<double> " << plan << " len=" << len;
+                kf(pf, xf.data(), len, yf.data());
+                EXPECT_EQ(firstBitMismatch(
+                              yf, kronRowOracle(pf, xf, len, fusedF)),
+                          -1)
+                    << "f16Kernels().kron " << plan << " len=" << len;
+                applyKron(pf, xf.data(), len, yf.data());
+                EXPECT_EQ(firstBitMismatch(
+                              yf, kronRowOracle(pf, xf, len, false)),
+                          -1)
+                    << "applyKron<float> " << plan << " len=" << len;
+            }
+        }
     }
 }
 
