@@ -60,8 +60,11 @@ makeSynthetic(std::size_t count, const SyntheticConfig &cfg)
                     const double v = amp *
                         std::sin(2.0 * std::numbers::pi * freq * u +
                                  phase);
+                    // Scale a unit draw rather than pass `noise` as
+                    // the stddev, which std::normal_distribution
+                    // requires to be positive: noise = 0 is valid.
                     ds.images.at(i, c, y, x) =
-                        v + rng.normal(0.0, cfg.noise);
+                        v + cfg.noise * rng.normal();
                 }
             }
         }

@@ -115,17 +115,18 @@ blockedTapWeights(const WinogradTapWeights<double> &w)
 
 template <typename T>
 void
-winogradGatherTilesBlocked(const Tensor<T> &input, WinoVariant v,
-                           std::size_t pad, Tensor<T> &V)
+winogradGatherTileRowsBlocked(const Tensor<T> &input, WinoVariant v,
+                              std::size_t pad, std::size_t g0,
+                              std::size_t g1, T *V)
 {
     const WinoDims d = winoDimsBlocked(input.shape(), v, pad);
     const std::size_t cb = input.dim(1);
     const std::size_t h = input.dim(2);
     const std::size_t w = input.dim(3);
     const std::size_t tt = d.t * d.t;
-    const Shape want{tt, cb, d.tiles, kB};
-    if (V.shape() != want)
-        V = Tensor<T>(want);
+    twq_assert(g0 <= g1 && g1 <= d.n * d.tilesY,
+               "tile-row range beyond the batch");
+    const std::size_t tiles = (g1 - g0) * d.tilesX;
 
     for (std::size_t k = 0; k < tt; ++k) {
         const std::ptrdiff_t dy =
@@ -134,44 +135,50 @@ winogradGatherTilesBlocked(const Tensor<T> &input, WinoVariant v,
         const std::ptrdiff_t dx =
             static_cast<std::ptrdiff_t>(k % d.t) -
             static_cast<std::ptrdiff_t>(pad);
-        for (std::size_t n = 0; n < d.n; ++n) {
-            for (std::size_t b = 0; b < cb; ++b) {
-                const T *plane =
-                    input.data() + (n * cb + b) * h * w * kB;
-                T *dstc =
-                    V.data() + ((k * cb + b) * d.tiles +
-                                n * d.tilesY * d.tilesX) *
-                                   kB;
-                for (std::size_t ty = 0; ty < d.tilesY; ++ty) {
-                    T *dst = dstc + ty * d.tilesX * kB;
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(ty * d.m) + dy;
-                    if (iy < 0 ||
-                        iy >= static_cast<std::ptrdiff_t>(h)) {
-                        std::fill(dst, dst + d.tilesX * kB, T{});
-                        continue;
-                    }
-                    const T *srow =
-                        plane + static_cast<std::size_t>(iy) * w * kB;
-                    for (std::size_t tx = 0; tx < d.tilesX; ++tx) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(tx * d.m) +
-                            dx;
-                        T *dv = dst + tx * kB;
-                        if (ix < 0 ||
-                            ix >= static_cast<std::ptrdiff_t>(w)) {
-                            std::fill(dv, dv + kB, T{});
-                        } else {
-                            const T *sv =
-                                srow +
-                                static_cast<std::size_t>(ix) * kB;
-                            std::copy(sv, sv + kB, dv);
-                        }
+        for (std::size_t b = 0; b < cb; ++b) {
+            T *dstc = V + (k * cb + b) * tiles * kB;
+            for (std::size_t g = g0; g < g1; ++g) {
+                const std::size_t n = g / d.tilesY;
+                const std::size_t ty = g % d.tilesY;
+                T *dst = dstc + (g - g0) * d.tilesX * kB;
+                const std::ptrdiff_t iy =
+                    static_cast<std::ptrdiff_t>(ty * d.m) + dy;
+                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
+                    std::fill(dst, dst + d.tilesX * kB, T{});
+                    continue;
+                }
+                const T *srow =
+                    input.data() +
+                    ((n * cb + b) * h + static_cast<std::size_t>(iy)) *
+                        w * kB;
+                for (std::size_t tx = 0; tx < d.tilesX; ++tx) {
+                    const std::ptrdiff_t ix =
+                        static_cast<std::ptrdiff_t>(tx * d.m) + dx;
+                    T *dv = dst + tx * kB;
+                    if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) {
+                        std::fill(dv, dv + kB, T{});
+                    } else {
+                        const T *sv =
+                            srow + static_cast<std::size_t>(ix) * kB;
+                        std::copy(sv, sv + kB, dv);
                     }
                 }
             }
         }
     }
+}
+
+template <typename T>
+void
+winogradGatherTilesBlocked(const Tensor<T> &input, WinoVariant v,
+                           std::size_t pad, Tensor<T> &V)
+{
+    const WinoDims d = winoDimsBlocked(input.shape(), v, pad);
+    const Shape want{d.t * d.t, input.dim(1), d.tiles, kB};
+    if (V.shape() != want)
+        V = Tensor<T>(want);
+    winogradGatherTileRowsBlocked(input, v, pad, 0, d.n * d.tilesY,
+                                  V.data());
 }
 
 void
@@ -230,6 +237,28 @@ winogradScatterAddTilesBlocked(const TensorD &V, WinoVariant v,
     }
 }
 
+namespace
+{
+
+/// Per-tap GEMM over `tiles` columns: U [t*t, Cinb, tiles, 8] ->
+/// M [t*t, Coutb, tiles, 8].
+void
+tapGemmTiles(const BlockedTapWeights &w, const double *U, double *M,
+             std::size_t tiles, gemm::ParallelRunner *runner)
+{
+    const WinoSpec spec = winoSpec(w.variant);
+    gemm::runTapColBlocks(
+        runner, spec.t * spec.t, tiles, layout::kTapPr,
+        [&](std::size_t k, std::size_t j0, std::size_t jn,
+            std::size_t) {
+            table().tapGemm(w.tap(k), U + k * w.cinb * tiles * kB,
+                            M + k * w.coutb * tiles * kB, w.coutb,
+                            w.cinb, tiles, j0, jn);
+        });
+}
+
+} // namespace
+
 void
 winogradTapGemmBlocked(const BlockedTapWeights &w, const TensorD &U,
                        TensorD &M, gemm::ParallelRunner *runner)
@@ -243,15 +272,7 @@ winogradTapGemmBlocked(const BlockedTapWeights &w, const TensorD &U,
     const Shape want{tt, w.coutb, tiles, kB};
     if (M.shape() != want)
         M = TensorD(want);
-    gemm::runTapColBlocks(
-        runner, tt, tiles, layout::kTapPr,
-        [&](std::size_t k, std::size_t j0, std::size_t jn,
-            std::size_t) {
-            table().tapGemm(w.tap(k),
-                            U.data() + k * w.cinb * tiles * kB,
-                            M.data() + k * w.coutb * tiles * kB,
-                            w.coutb, w.cinb, tiles, j0, jn);
-        });
+    tapGemmTiles(w, U.data(), M.data(), tiles, runner);
 }
 
 namespace
@@ -286,24 +307,23 @@ epilogueRow(const T *src, T *dst, std::size_t stride,
 
 template <typename T>
 void
-winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
-                      const T *bias8, bool relu)
+winogradUntileTileRowsBlocked(const T *Y, WinoVariant v, std::size_t g0,
+                              std::size_t g1, Tensor<T> &out,
+                              const T *bias8, bool relu)
 {
     const WinoSpec spec = winoSpec(v);
     const std::size_t m = spec.m;
     const std::size_t mm = m * m;
     twq_assert(out.rank() == 5 && out.dim(4) == kB,
                "winogradUntileBlocked expects an NCHWc8 output");
-    const std::size_t n = out.dim(0);
     const std::size_t cb = out.dim(1);
     const std::size_t ho = out.dim(2);
     const std::size_t wo = out.dim(3);
     const std::size_t tilesY = (ho + m - 1) / m;
     const std::size_t tilesX = (wo + m - 1) / m;
-    const std::size_t tiles = n * tilesY * tilesX;
-    twq_assert(Y.rank() == 4 && Y.dim(0) == mm && Y.dim(1) == cb &&
-                   Y.dim(2) == tiles && Y.dim(3) == kB,
-               "tile buffer does not match the output geometry");
+    twq_assert(g0 <= g1 && g1 <= out.dim(0) * tilesY,
+               "tile-row range beyond the batch");
+    const std::size_t tiles = (g1 - g0) * tilesX;
 
     for (std::size_t k = 0; k < mm; ++k) {
         const std::size_t j1 = k / m;
@@ -321,26 +341,39 @@ winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
             j2 < wo ? (wo - j2 + m - 1) / m : 0;
         if (cnt == 0)
             continue;
-        for (std::size_t in = 0; in < n; ++in) {
-            for (std::size_t b = 0; b < cb; ++b) {
-                T *plane =
-                    out.data() + (in * cb + b) * ho * wo * kB;
-                const T *srcc =
-                    Y.data() + ((k * cb + b) * tiles +
-                                in * tilesY * tilesX) *
-                                   kB;
-                const T *bv = bias8 ? bias8 + b * kB : nullptr;
-                for (std::size_t ty = 0; ty < tilesY; ++ty) {
-                    const std::size_t oy = ty * m + j1;
-                    if (oy >= ho)
-                        continue;
-                    T *drow = plane + oy * wo * kB + j2 * kB;
-                    const T *src = srcc + ty * tilesX * kB;
-                    epilogueRow(src, drow, m * kB, cnt, bv, relu);
-                }
+        for (std::size_t b = 0; b < cb; ++b) {
+            const T *srcc = Y + (k * cb + b) * tiles * kB;
+            const T *bv = bias8 ? bias8 + b * kB : nullptr;
+            for (std::size_t g = g0; g < g1; ++g) {
+                const std::size_t in = g / tilesY;
+                const std::size_t oy = g % tilesY * m + j1;
+                if (oy >= ho)
+                    continue;
+                T *drow = out.data() +
+                          ((in * cb + b) * ho + oy) * wo * kB + j2 * kB;
+                const T *src = srcc + (g - g0) * tilesX * kB;
+                epilogueRow(src, drow, m * kB, cnt, bv, relu);
             }
         }
     }
+}
+
+template <typename T>
+void
+winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
+                      const T *bias8, bool relu)
+{
+    const std::size_t m = winoSpec(v).m;
+    twq_assert(out.rank() == 5 && out.dim(4) == kB,
+               "winogradUntileBlocked expects an NCHWc8 output");
+    const std::size_t rows = out.dim(0) * ((out.dim(2) + m - 1) / m);
+    const std::size_t tiles = rows * ((out.dim(3) + m - 1) / m);
+    twq_assert(Y.rank() == 4 && Y.dim(0) == m * m &&
+                   Y.dim(1) == out.dim(1) && Y.dim(2) == tiles &&
+                   Y.dim(3) == kB,
+               "tile buffer does not match the output geometry");
+    winogradUntileTileRowsBlocked(Y.data(), v, 0, rows, out, bias8,
+                                  relu);
 }
 
 void
@@ -359,40 +392,50 @@ conv2dWinogradBlockedInto(const TensorD &input,
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
     const std::size_t tt = d.t * d.t;
-    const std::size_t mm = d.m * d.m;
+    const std::size_t rows = d.n * d.tilesY;
+    // One tile row of each buffer, in elements.
+    const std::size_t rowIn = tt * w.cinb * d.tilesX * kB;  // V, U
+    const std::size_t rowOut = tt * w.coutb * d.tilesX * kB; // M
+    const std::size_t rowY = d.m * d.m * w.coutb * d.tilesX * kB;
+    const std::size_t per = std::min(
+        rows, winoChunkRows(std::max(rowIn, rowOut) * sizeof(double)));
+    double *v = winoChunkBuffer(V, per * rowIn);
+    double *u = winoChunkBuffer(U, per * rowIn);
+    double *m = winoChunkBuffer(M, per * rowOut);
+    double *y = winoChunkBuffer(Y, per * rowY);
 
-    {
-        TWQ_SPAN("winoc8.gather");
-        TWQ_STAGE_PERF("winoc8.gather");
-        winogradGatherTilesBlocked(input, w.variant, pad, V);
-    }
-    {
-        TWQ_SPAN("winoc8.bkron");
-        TWQ_STAGE_PERF("winoc8.bkron");
-        const Shape uWant{tt, w.cinb, d.tiles, kB};
-        if (U.shape() != uWant)
-            U = TensorD(uWant);
-        table().kron(winoInputKron<double>(w.variant), V.data(),
-                     w.cinb * d.tiles * kB, U.data());
-    }
-    {
-        TWQ_SPAN("winoc8.tapgemm");
-        TWQ_STAGE_PERF("winoc8.tapgemm");
-        winogradTapGemmBlocked(w, U, M, runner);
-    }
-    {
-        TWQ_SPAN("winoc8.akron");
-        TWQ_STAGE_PERF("winoc8.akron");
-        const Shape yWant{mm, w.coutb, d.tiles, kB};
-        if (Y.shape() != yWant)
-            Y = TensorD(yWant);
-        table().kron(winoOutputKron<double>(w.variant), M.data(),
-                     w.coutb * d.tiles * kB, Y.data());
-    }
-    {
-        TWQ_SPAN("winoc8.untile");
-        TWQ_STAGE_PERF("winoc8.untile");
-        winogradUntileBlocked(Y, w.variant, out, bias8, relu);
+    for (std::size_t g0 = 0; g0 < rows; g0 += per) {
+        const std::size_t g1 = std::min(rows, g0 + per);
+        const std::size_t tiles = (g1 - g0) * d.tilesX;
+        {
+            TWQ_SPAN("winoc8.gather");
+            TWQ_STAGE_PERF("winoc8.gather");
+            winogradGatherTileRowsBlocked(input, w.variant, pad, g0, g1,
+                                          v);
+        }
+        {
+            TWQ_SPAN("winoc8.bkron");
+            TWQ_STAGE_PERF("winoc8.bkron");
+            table().kron(winoInputKron<double>(w.variant), v,
+                         w.cinb * tiles * kB, u);
+        }
+        {
+            TWQ_SPAN("winoc8.tapgemm");
+            TWQ_STAGE_PERF("winoc8.tapgemm");
+            tapGemmTiles(w, u, m, tiles, runner);
+        }
+        {
+            TWQ_SPAN("winoc8.akron");
+            TWQ_STAGE_PERF("winoc8.akron");
+            table().kron(winoOutputKron<double>(w.variant), m,
+                         w.coutb * tiles * kB, y);
+        }
+        {
+            TWQ_SPAN("winoc8.untile");
+            TWQ_STAGE_PERF("winoc8.untile");
+            winogradUntileTileRowsBlocked(y, w.variant, g0, g1, out,
+                                          bias8, relu);
+        }
     }
 }
 
@@ -443,28 +486,20 @@ blockedTapWeightsF16(const WinogradTapWeights<double> &w)
 namespace
 {
 
+/// tapGemmTiles on binary16 weights and fp32 tiles.
 void
-winogradTapGemmBlockedF16(const BlockedTapWeightsF16 &w,
-                          const TensorF &U, TensorF &M,
-                          gemm::ParallelRunner *runner)
+tapGemmTilesF16(const BlockedTapWeightsF16 &w, const float *U, float *M,
+                std::size_t tiles, gemm::ParallelRunner *runner)
 {
     const WinoSpec spec = winoSpec(w.variant);
-    const std::size_t tt = spec.t * spec.t;
-    twq_assert(U.rank() == 4 && U.dim(0) == tt &&
-                   U.dim(1) == w.cinb && U.dim(3) == kB,
-               "scatter buffer does not match blocked f16 weights");
-    const std::size_t tiles = U.dim(2);
-    const Shape want{tt, w.coutb, tiles, kB};
-    if (M.shape() != want)
-        M = TensorF(want);
     const layout::F16Kernels &hk = layout::f16Kernels();
     gemm::runTapColBlocks(
-        runner, tt, tiles, layout::kTapPr,
+        runner, spec.t * spec.t, tiles, layout::kTapPr,
         [&](std::size_t k, std::size_t j0, std::size_t jn,
             std::size_t) {
-            hk.tapGemm(w.tap(k), U.data() + k * w.cinb * tiles * kB,
-                       M.data() + k * w.coutb * tiles * kB, w.coutb,
-                       w.cinb, tiles, j0, jn);
+            hk.tapGemm(w.tap(k), U + k * w.cinb * tiles * kB,
+                       M + k * w.coutb * tiles * kB, w.coutb, w.cinb,
+                       tiles, j0, jn);
         });
 }
 
@@ -487,54 +522,67 @@ conv2dWinogradBlockedF16Into(const TensorF16 &input,
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
     const std::size_t tt = d.t * d.t;
-    const std::size_t mm = d.m * d.m;
+    const std::size_t rows = d.n * d.tilesY;
     const layout::F16Kernels &hk = layout::f16Kernels();
+    // One tile row of each buffer, in elements.
+    const std::size_t rowIn = tt * w.cinb * d.tilesX * kB;  // V16, V, U
+    const std::size_t rowOut = tt * w.coutb * d.tilesX * kB; // M
+    const std::size_t rowY = d.m * d.m * w.coutb * d.tilesX * kB;
+    const std::size_t per = std::min(
+        rows, winoChunkRows(std::max(rowIn, rowOut) * sizeof(float)));
+    std::uint16_t *v16 = winoChunkBuffer(V16, per * rowIn);
+    float *v = winoChunkBuffer(V, per * rowIn);
+    float *u = winoChunkBuffer(U, per * rowIn);
+    float *m = winoChunkBuffer(M, per * rowOut);
+    float *y = winoChunkBuffer(Y, per * rowY);
+    const Shape oWant{d.n, w.coutb, d.ho, d.wo, kB};
+    if (outF.shape() != oWant)
+        outF = TensorF(oWant);
 
-    {
-        // Tile gather moves raw half bit patterns; the single bulk
-        // widen afterwards is the only storage->compute conversion on
-        // the activation side.
-        TWQ_SPAN("winoc8h.gather");
-        TWQ_STAGE_PERF("winoc8h.gather");
-        winogradGatherTilesBlocked(input, w.variant, pad, V16);
-        const Shape want{tt, w.cinb, d.tiles, kB};
-        if (V.shape() != want)
-            V = TensorF(want);
-        hk.widen(V16.data(), V.data(), V16.numel());
+    for (std::size_t g0 = 0; g0 < rows; g0 += per) {
+        const std::size_t g1 = std::min(rows, g0 + per);
+        const std::size_t tiles = (g1 - g0) * d.tilesX;
+        {
+            // Tile gather moves raw half bit patterns; the widen
+            // afterwards is the only storage->compute conversion on
+            // the activation side.
+            TWQ_SPAN("winoc8h.gather");
+            TWQ_STAGE_PERF("winoc8h.gather");
+            winogradGatherTileRowsBlocked(input, w.variant, pad, g0, g1,
+                                          v16);
+            hk.widen(v16, v, tt * w.cinb * tiles * kB);
+        }
+        {
+            TWQ_SPAN("winoc8h.bkron");
+            TWQ_STAGE_PERF("winoc8h.bkron");
+            hk.kron(winoInputKron<float>(w.variant), v,
+                    w.cinb * tiles * kB, u);
+        }
+        {
+            TWQ_SPAN("winoc8h.tapgemm");
+            TWQ_STAGE_PERF("winoc8h.tapgemm");
+            tapGemmTilesF16(w, u, m, tiles, runner);
+        }
+        {
+            TWQ_SPAN("winoc8h.akron");
+            TWQ_STAGE_PERF("winoc8h.akron");
+            hk.kron(winoOutputKron<float>(w.variant), m,
+                    w.coutb * tiles * kB, y);
+        }
+        {
+            // Untile (with the fused fp32 epilogue) into the fp32
+            // staging plane.
+            TWQ_SPAN("winoc8h.untile");
+            TWQ_STAGE_PERF("winoc8h.untile");
+            winogradUntileTileRowsBlocked(y, w.variant, g0, g1, outF,
+                                          bias8, relu);
+        }
     }
     {
-        TWQ_SPAN("winoc8h.bkron");
-        TWQ_STAGE_PERF("winoc8h.bkron");
-        const Shape uWant{tt, w.cinb, d.tiles, kB};
-        if (U.shape() != uWant)
-            U = TensorF(uWant);
-        hk.kron(winoInputKron<float>(w.variant), V.data(),
-                w.cinb * d.tiles * kB, U.data());
-    }
-    {
-        TWQ_SPAN("winoc8h.tapgemm");
-        TWQ_STAGE_PERF("winoc8h.tapgemm");
-        winogradTapGemmBlockedF16(w, U, M, runner);
-    }
-    {
-        TWQ_SPAN("winoc8h.akron");
-        TWQ_STAGE_PERF("winoc8h.akron");
-        const Shape yWant{mm, w.coutb, d.tiles, kB};
-        if (Y.shape() != yWant)
-            Y = TensorF(yWant);
-        hk.kron(winoOutputKron<float>(w.variant), M.data(),
-                w.coutb * d.tiles * kB, Y.data());
-    }
-    {
-        // Untile (with the fused fp32 epilogue) into the fp32 staging
-        // plane, then narrow the whole activation in one pass: the
-        // stored half is a single RNE rounding of the epilogue result.
+        // Narrow the whole activation in one pass: the stored half is
+        // a single RNE rounding of the epilogue result.
         TWQ_SPAN("winoc8h.untile");
         TWQ_STAGE_PERF("winoc8h.untile");
-        const Shape oWant{d.n, w.coutb, d.ho, d.wo, kB};
-        if (outF.shape() != oWant)
-            outF = TensorF(oWant);
-        winogradUntileBlocked(Y, w.variant, outF, bias8, relu);
         hk.narrow(outF.data(), out.data(), outF.numel());
     }
 }
@@ -572,5 +620,13 @@ template void winogradUntileBlocked(const Tensor<std::int64_t> &,
                                     WinoVariant,
                                     Tensor<std::int64_t> &,
                                     const std::int64_t *, bool);
+template void
+winogradGatherTileRowsBlocked(const Tensor<std::int32_t> &, WinoVariant,
+                              std::size_t, std::size_t, std::size_t,
+                              std::int32_t *);
+template void
+winogradUntileTileRowsBlocked(const double *, WinoVariant, std::size_t,
+                              std::size_t, Tensor<double> &,
+                              const double *, bool);
 
 } // namespace twq

@@ -11,17 +11,28 @@
  *   M, Y    [t*t|m*m, Coutb, P, 8]    GEMM output / A-transformed
  *   output  [N, Coutb, Ho, Wo, 8]
  *
- * with P = N * tilesY * tilesX. The tile gather and untile then move
- * whole 8-channel vectors between the activation planes and the tile
- * buffers — no per-element `x[((n*C+c)*H+y)*W+x]` addressing — and
- * the per-tap GEMM broadcasts U elements against 8-wide contiguous
- * weight vectors (layout/kernels.hh), with the c-block as the SIMD
- * lane dimension throughout. The kron passes apply the same plans as
- * the NCHW path, just over blocked rows, dispatched to FMA kernels
- * that run them in L1-sized column strips (winograd/tiled.hh
- * kronStrips): a strip of every input row is copied into one
- * contiguous buffer, then each output row's segment is summed in
- * registers over all its terms and stored once.
+ * The tile gather and untile move whole 8-channel vectors between
+ * the activation planes and the tile buffers — no per-element
+ * `x[((n*C+c)*H+y)*W+x]` addressing — and the per-tap GEMM broadcasts
+ * U elements against 8-wide contiguous weight vectors
+ * (layout/kernels.hh), with the c-block as the SIMD lane dimension
+ * throughout. The kron passes apply the same plans as the NCHW path,
+ * just over blocked rows, dispatched to FMA kernels that run them in
+ * L1-sized column strips (winograd/tiled.hh kronStrips): a strip of
+ * every input row is copied into one contiguous buffer, then each
+ * output row's segment is summed in registers over all its terms and
+ * stored once.
+ *
+ * The full convolutions (conv2dWinogradBlockedInto and the f16 and
+ * int8 compositions) run a layer in chunks of whole tile rows — row
+ * g = n * tilesY + ty covers tilesX tiles — with rows per chunk sized
+ * so the largest tile buffer takes at most kWinoChunkBytes
+ * (winograd/tiled.hh). Each chunk goes through all five stages before
+ * the next starts, so P above is per chunk: (rows in the chunk) *
+ * tilesX, and the caller's tile buffers need hold one chunk, not the
+ * batch. The stage entry points (winogradGatherTilesBlocked,
+ * winogradTapGemmBlocked, winogradUntileBlocked) are the all-rows
+ * case, P = N * tilesY * tilesX.
  *
  * Numerics: the per-element accumulation order (ascending input
  * channel, one fused multiply-add each) matches the blocked gemm
@@ -29,9 +40,9 @@
  * the NCHW tiled path per stage up to the kron passes (whose explicit
  * FMA may differ from the portable NCHW transform's multiply-then-add
  * in the last ulp — tolerance-equal where FMA contracts). Within the
- * blocked path every element's sum is independent of P and of the
- * strip it falls in, so batched execution is bit-identical to
- * sequential.
+ * blocked path every element's sum is independent of P, of the chunk
+ * and of the strip it falls in, so chunked execution is bit-identical
+ * to the whole-batch stage chain and batched execution to sequential.
  */
 
 #ifndef TWQ_LAYOUT_WINO_BLOCKED_HH
@@ -156,13 +167,54 @@ void winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v,
                            bool relu = false);
 
 /**
+ * Tile rows [g0, g1) of winogradGatherTilesBlocked, for the chunked
+ * compositions: fills the chunk buffer `V`, laid
+ * [t*t, Cinb, (g1 - g0) * tilesX, 8].
+ */
+template <typename T>
+void winogradGatherTileRowsBlocked(const Tensor<T> &input,
+                                   WinoVariant v, std::size_t pad,
+                                   std::size_t g0, std::size_t g1,
+                                   T *V);
+
+/**
+ * Tile rows [g0, g1) of winogradUntileBlocked, for the chunked
+ * compositions: writes the outputs those rows cover from the chunk
+ * buffer `Y`, laid [m*m, Coutb, (g1 - g0) * tilesX, 8].
+ */
+template <typename T>
+void winogradUntileTileRowsBlocked(const T *Y, WinoVariant v,
+                                   std::size_t g0, std::size_t g1,
+                                   Tensor<T> &out,
+                                   const T *bias8 = nullptr,
+                                   bool relu = false);
+
+/**
+ * Storage for one chunk of a tile buffer: `buf` is regrown (flat,
+ * zero-filled) only when it holds fewer than `n` elements and is
+ * otherwise used as is, whatever its shape — so a buffer that has
+ * grown to the largest chunk it meets serves every layer without a
+ * reshape (ScratchArena::buffer).
+ */
+template <typename T>
+T *
+winoChunkBuffer(Tensor<T> &buf, std::size_t n)
+{
+    if (buf.numel() < n)
+        buf = Tensor<T>(Shape{n});
+    return buf.data();
+}
+
+/**
  * Full blocked-layout Winograd convolution with caller-provided
  * buffers (e.g. ScratchArena slots), mirroring
  * conv2dWinogradTiledInto: gather, input kron, per-tap GEMM, output
- * kron, untile — all on NCHWc8 operands. `out` must be pre-shaped
- * [N, Coutb, Ho, Wo, 8]; the buffers are reshaped as needed.
- * `bias8` / `relu` are the untile's fused epilogue (see
- * winogradUntileBlocked).
+ * kron, untile — all on NCHWc8 operands, one chunk of tile rows at a
+ * time (see the file comment). `out` must be pre-shaped
+ * [N, Coutb, Ho, Wo, 8]. V, U, M and Y hold one chunk: each is
+ * regrown only if smaller than that (winoChunkBuffer) and is
+ * otherwise used as is, whatever its shape. `bias8` / `relu` are the
+ * untile's fused epilogue (see winogradUntileBlocked).
  */
 void conv2dWinogradBlockedInto(const TensorD &input,
                                const BlockedTapWeights &w,
@@ -185,10 +237,13 @@ TensorD conv2dWinogradBlocked(const TensorD &input,
  *   V16 -widen-> V (fp32) -B kron-> U -tap GEMM-> M -A kron-> Y
  *   Y -untile+epilogue-> outF (fp32 NCHWc8) -narrow-> out (halves)
  *
- * The fused bias/ReLU epilogue is applied in fp32 before the final
- * narrowing, so the stored half is a single rounding of the exact
- * fp32 epilogue result. `out` must be pre-shaped
- * [N, Coutb, Ho, Wo, 8]; buffers are reshaped as needed.
+ * Gather through untile run one chunk of tile rows at a time, like
+ * conv2dWinogradBlockedInto (V16, V, U, M and Y hold one chunk);
+ * outF stages the whole output and is narrowed in one pass at the
+ * end. The fused bias/ReLU epilogue is applied in fp32 before the
+ * final narrowing, so the stored half is a single rounding of the
+ * exact fp32 epilogue result. `out` must be pre-shaped
+ * [N, Coutb, Ho, Wo, 8]; outF is reshaped as needed.
  */
 void conv2dWinogradBlockedF16Into(
     const TensorF16 &input, const BlockedTapWeightsF16 &w,
@@ -226,6 +281,14 @@ extern template void
 winogradUntileBlocked(const Tensor<std::int64_t> &, WinoVariant,
                       Tensor<std::int64_t> &, const std::int64_t *,
                       bool);
+extern template void
+winogradGatherTileRowsBlocked(const Tensor<std::int32_t> &, WinoVariant,
+                              std::size_t, std::size_t, std::size_t,
+                              std::int32_t *);
+extern template void
+winogradUntileTileRowsBlocked(const double *, WinoVariant, std::size_t,
+                              std::size_t, Tensor<double> &,
+                              const double *, bool);
 
 } // namespace twq
 

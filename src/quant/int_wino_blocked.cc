@@ -133,19 +133,12 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
 }
 
 void
-BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
-                                TensorI32 &xq, TensorI32 &V,
-                                TensorI32 &U32, TensorI16 &U16,
-                                TensorI8 &U8, TensorI32 &M,
-                                gemm::ParallelRunner *runner) const
+BlockedIntWinograd::quantizeInput(const TensorD &input,
+                                  TensorI32 &xq) const
 {
     const IntWinogradConfig &cfg = conv_->config();
-    const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
     twq_assert(input.dim(1) == cinb_,
                "input channel blocks do not match prepared weights");
-    const std::size_t t = d.t;
-    const std::size_t tt = t * t;
     const double sx = conv_->inputScale();
 
     // Spatial-domain quantization of the blocked input in place of
@@ -153,23 +146,36 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
     // scales take the vectorized exact-reciprocal kernel, which is
     // bit-identical to quantize(); free scales keep the scalar
     // divide.
-    {
-        TWQ_SPAN("winoc8i.quantize");
-        TWQ_STAGE_PERF("winoc8i.quantize");
-        if (xq.shape() != input.shape())
-            xq = TensorI32(input.shape());
-        if (cfg.pow2Scales) {
-            layout::kernels().quantizeI32(
-                input.data(), 1.0 / sx,
-                static_cast<double>(quantMin(cfg.spatialBits)),
-                static_cast<double>(quantMax(cfg.spatialBits)),
-                xq.data(), input.numel());
-        } else {
-            for (std::size_t i = 0; i < input.numel(); ++i)
-                xq[i] = static_cast<std::int32_t>(
-                    quantize(input[i], sx, cfg.spatialBits));
-        }
+    TWQ_SPAN("winoc8i.quantize");
+    TWQ_STAGE_PERF("winoc8i.quantize");
+    if (xq.shape() != input.shape())
+        xq = TensorI32(input.shape());
+    if (cfg.pow2Scales) {
+        layout::kernels().quantizeI32(
+            input.data(), 1.0 / sx,
+            static_cast<double>(quantMin(cfg.spatialBits)),
+            static_cast<double>(quantMax(cfg.spatialBits)), xq.data(),
+            input.numel());
+    } else {
+        for (std::size_t i = 0; i < input.numel(); ++i)
+            xq[i] = static_cast<std::int32_t>(
+                quantize(input[i], sx, cfg.spatialBits));
     }
+}
+
+void
+BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
+                                    std::size_t g1, bool useShifts,
+                                    std::int32_t *V, std::int32_t *U32,
+                                    std::int16_t *U16, std::uint8_t *U8,
+                                    std::int32_t *M,
+                                    gemm::ParallelRunner *runner) const
+{
+    const IntWinogradConfig &cfg = conv_->config();
+    const WinoDims d = winoDimsBlocked(xq.shape(), cfg.variant, cfg.pad);
+    const std::size_t t = d.t;
+    const std::size_t tt = t * t;
+    const std::size_t tiles = (g1 - g0) * d.tilesX;
 
     // Blocked tile gather, then the exact integer B-transform as
     // Kronecker row passes over the blocked rows, then the tap-wise
@@ -177,18 +183,15 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
     {
         TWQ_SPAN("winoc8i.gather");
         TWQ_STAGE_PERF("winoc8i.gather");
-        winogradGatherTilesBlocked(xq, cfg.variant, cfg.pad, V);
+        winogradGatherTileRowsBlocked(xq, cfg.variant, cfg.pad, g0, g1,
+                                      V);
     }
-    const Shape ushape{tt, cinb_, d.tiles, kB};
-    if (U32.shape() != ushape)
-        U32 = TensorI32(ushape);
-    const std::size_t rowLen = cinb_ * d.tiles * kB;
+    const std::size_t rowLen = cinb_ * tiles * kB;
     {
         TWQ_SPAN("winoc8i.bkron");
         TWQ_STAGE_PERF("winoc8i.bkron");
         layout::kernels().kronI32(
-            winoInputKron<std::int32_t>(cfg.variant), V.data(),
-            rowLen, U32.data());
+            winoInputKron<std::int32_t>(cfg.variant), V, rowLen, U32);
     }
     const MatrixD &sb = conv_->inputTapScale();
     if (use8_) {
@@ -196,13 +199,9 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
         TWQ_STAGE_PERF("winoc8i.requant");
         // Requantize straight into the biased-u8 operand of the
         // vpdpbusd tap kernel (value + 128 per element).
-        if (U8.shape() != ushape)
-            U8 = TensorI8(ushape);
-        std::uint8_t *u8 =
-            reinterpret_cast<std::uint8_t *>(U8.data());
         for (std::size_t k = 0; k < tt; ++k) {
-            const std::int32_t *src = U32.data() + k * rowLen;
-            std::uint8_t *row = u8 + k * rowLen;
+            const std::int32_t *src = U32 + k * rowLen;
+            std::uint8_t *row = U8 + k * rowLen;
             const double s = sb(k / t, k % t);
             if (useShifts) {
                 layout::kernels().rescaleU8(src, row, rowLen,
@@ -224,11 +223,9 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
     } else {
         TWQ_SPAN("winoc8i.requant");
         TWQ_STAGE_PERF("winoc8i.requant");
-        if (U16.shape() != ushape)
-            U16 = TensorI16(ushape);
         for (std::size_t k = 0; k < tt; ++k) {
-            const std::int32_t *src = U32.data() + k * rowLen;
-            std::int16_t *row = U16.data() + k * rowLen;
+            const std::int32_t *src = U32 + k * rowLen;
+            std::int16_t *row = U16 + k * rowLen;
             const double s = sb(k / t, k % t);
             if (useShifts) {
                 // Shift-based hardware rescale (vectorized).
@@ -253,38 +250,32 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
     // dimension; taps (split into P column blocks when taps alone
     // under-fill the pool) shard across `runner` — exact integer
     // sums, so sharded execution is bit-identical to serial.
-    const Shape mshape{tt, coutb_, d.tiles, kB};
-    if (M.shape() != mshape)
-        M = TensorI32(mshape);
     const std::size_t cinp = cinb_ * kB;
     TWQ_SPAN("winoc8i.tapgemm"); // covers the GEMM to end of scope
     TWQ_STAGE_PERF("winoc8i.tapgemm");
     if (use8_) {
         const layout::TapGemmU8Fn tapGemm =
             layout::kernels().tapGemmU8;
-        const std::uint8_t *u8 =
-            reinterpret_cast<const std::uint8_t *>(U8.data());
         gemm::runTapColBlocks(
-            runner, tt, d.tiles, layout::kTapPr,
+            runner, tt, tiles, layout::kTapPr,
             [&](std::size_t k, std::size_t j0, std::size_t jn,
                 std::size_t) {
                 tapGemm(wq8_.data() + k * coutb_ * cinp * kB,
-                        u8 + k * cinb_ * d.tiles * kB,
+                        U8 + k * rowLen,
                         comp_.data() + k * coutb_ * kB,
-                        M.data() + k * coutb_ * d.tiles * kB,
-                        coutb_, cinb_, d.tiles, j0, jn);
+                        M + k * coutb_ * tiles * kB, coutb_, cinb_,
+                        tiles, j0, jn);
             });
     } else {
         const layout::TapGemmI16Fn tapGemm =
             layout::kernels().tapGemmI16;
         gemm::runTapColBlocks(
-            runner, tt, d.tiles, layout::kTapPr,
+            runner, tt, tiles, layout::kTapPr,
             [&](std::size_t k, std::size_t j0, std::size_t jn,
                 std::size_t) {
                 tapGemm(wq16_.data() + k * coutb_ * cinp * kB,
-                        U16.data() + k * cinb_ * d.tiles * kB,
-                        M.data() + k * coutb_ * d.tiles * kB, coutb_,
-                        cinb_, d.tiles, j0, jn);
+                        U16 + k * rowLen, M + k * coutb_ * tiles * kB,
+                        coutb_, cinb_, tiles, j0, jn);
             });
     }
 }
@@ -306,47 +297,68 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
     const std::size_t tt = d.t * d.t;
+    const std::size_t rows = d.n * d.tilesY;
 
-    // The S_B requantization by shifts and by round(x/s) agree
-    // exactly for power-of-two scales; shifts are integer-only and
-    // markedly cheaper, so the FP path takes them whenever the
-    // config allows.
-    scatterGemm(input, /*useShifts=*/cfg.pow2Scales, xq, V, U32, U16,
-                U8, M, runner);
+    quantizeInput(input, xq);
 
-    // Dequant gather, vectorized blocked form: the tap-wise S_BG
-    // rescale (sx folded in) as one per-lane scale vector over each
-    // (tap, coutb) slice of M, then the FP A-transform as FMA
-    // Kronecker row passes, then the blocked untile. Padded lanes
-    // scale by zero, so the untile writes them as exact zeros.
-    const Shape mdshape{tt, coutb_, d.tiles, kB};
-    if (Md.shape() != mdshape)
-        Md = TensorD(mdshape);
-    {
-        TWQ_SPAN("winoc8i.rescale");
-        TWQ_STAGE_PERF("winoc8i.rescale");
-        for (std::size_t k = 0; k < tt; ++k)
-            for (std::size_t co = 0; co < coutb_; ++co)
-                layout::kernels().scaleI32F64(
-                    M.data() + (k * coutb_ + co) * d.tiles * kB,
-                    sbgSx_.data() + (k * coutb_ + co) * kB,
-                    Md.data() + (k * coutb_ + co) * d.tiles * kB,
-                    d.tiles);
-    }
-    const Shape yshape{d.m * d.m, coutb_, d.tiles, kB};
-    if (Y.shape() != yshape)
-        Y = TensorD(yshape);
-    {
-        TWQ_SPAN("winoc8i.akron");
-        TWQ_STAGE_PERF("winoc8i.akron");
-        layout::kernels().kron(winoOutputKron<double>(cfg.variant),
-                               Md.data(), coutb_ * d.tiles * kB,
-                               Y.data());
-    }
-    {
-        TWQ_SPAN("winoc8i.untile");
-        TWQ_STAGE_PERF("winoc8i.untile");
-        winogradUntileBlocked(Y, cfg.variant, out, bias8, relu);
+    // One tile row of each buffer, in elements; the largest in bytes
+    // is V/U32 (int32) or Md (f64).
+    const std::size_t rowIn = tt * cinb_ * d.tilesX * kB;
+    const std::size_t rowOut = tt * coutb_ * d.tilesX * kB;
+    const std::size_t rowY = d.m * d.m * coutb_ * d.tilesX * kB;
+    const std::size_t per = std::min(
+        rows, winoChunkRows(std::max(rowIn * sizeof(std::int32_t),
+                                     rowOut * sizeof(double))));
+    std::int32_t *v = winoChunkBuffer(V, per * rowIn);
+    std::int32_t *u32 = winoChunkBuffer(U32, per * rowIn);
+    std::int16_t *u16 =
+        use8_ ? nullptr : winoChunkBuffer(U16, per * rowIn);
+    std::uint8_t *u8 =
+        use8_ ? reinterpret_cast<std::uint8_t *>(
+                    winoChunkBuffer(U8, per * rowIn))
+              : nullptr;
+    std::int32_t *m = winoChunkBuffer(M, per * rowOut);
+    double *md = winoChunkBuffer(Md, per * rowOut);
+    double *y = winoChunkBuffer(Y, per * rowY);
+
+    for (std::size_t g0 = 0; g0 < rows; g0 += per) {
+        const std::size_t g1 = std::min(rows, g0 + per);
+        const std::size_t tiles = (g1 - g0) * d.tilesX;
+        // The S_B requantization by shifts and by round(x/s) agree
+        // exactly for power-of-two scales; shifts are integer-only
+        // and markedly cheaper, so the FP path takes them whenever
+        // the config allows.
+        scatterGemmRows(xq, g0, g1, /*useShifts=*/cfg.pow2Scales, v,
+                        u32, u16, u8, m, runner);
+
+        // Dequant gather, vectorized blocked form: the tap-wise S_BG
+        // rescale (sx folded in) as one per-lane scale vector over
+        // each (tap, coutb) slice of M, then the FP A-transform as
+        // FMA Kronecker row passes, then the blocked untile. Padded
+        // lanes scale by zero, so the untile writes them as exact
+        // zeros.
+        {
+            TWQ_SPAN("winoc8i.rescale");
+            TWQ_STAGE_PERF("winoc8i.rescale");
+            for (std::size_t k = 0; k < tt; ++k)
+                for (std::size_t co = 0; co < coutb_; ++co)
+                    layout::kernels().scaleI32F64(
+                        m + (k * coutb_ + co) * tiles * kB,
+                        sbgSx_.data() + (k * coutb_ + co) * kB,
+                        md + (k * coutb_ + co) * tiles * kB, tiles);
+        }
+        {
+            TWQ_SPAN("winoc8i.akron");
+            TWQ_STAGE_PERF("winoc8i.akron");
+            layout::kernels().kron(winoOutputKron<double>(cfg.variant),
+                                   md, coutb_ * tiles * kB, y);
+        }
+        {
+            TWQ_SPAN("winoc8i.untile");
+            TWQ_STAGE_PERF("winoc8i.untile");
+            winogradUntileTileRowsBlocked(y, cfg.variant, g0, g1, out,
+                                          bias8, relu);
+        }
     }
 }
 
@@ -380,13 +392,21 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     const double sx = conv_->inputScale();
 
     // Pass 1: blocked integer pipeline into a blocked int64 spatial
-    // output. This is the oracle-parity path, not the serving hot
-    // path, so the buffers are local.
+    // output, all tile rows at once. This is the oracle-parity path,
+    // not the serving hot path, so the buffers are local.
     TensorI32 xq, V, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    scatterGemm(input, /*useShifts=*/true, xq, V, U32, U16, U8, M,
-                nullptr);
+    quantizeInput(input, xq);
+    const std::size_t inElems = tt * cinb_ * d.tiles * kB;
+    scatterGemmRows(
+        xq, 0, d.n * d.tilesY, /*useShifts=*/true,
+        winoChunkBuffer(V, inElems), winoChunkBuffer(U32, inElems),
+        use8_ ? nullptr : winoChunkBuffer(U16, inElems),
+        use8_ ? reinterpret_cast<std::uint8_t *>(
+                    winoChunkBuffer(U8, inElems))
+              : nullptr,
+        winoChunkBuffer(M, tt * coutb_ * d.tiles * kB), nullptr);
 
     // S_BG rescale as pure left-shifts relative to the channel's
     // common scale, widening each (tap, oc) GEMM segment to int64.

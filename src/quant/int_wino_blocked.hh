@@ -68,9 +68,13 @@ class BlockedIntWinograd
     /**
      * Quantized inference on an NCHWc8 input, dequantized into the
      * pre-shaped NCHWc8 `out` ([N, Coutb, Ho, Wo, 8]; padded lanes
-     * are zeroed). Caller-provided buffers (e.g. ScratchArena slots)
-     * are reshaped as needed, so the steady state performs no
-     * allocations. A non-null `runner` shards the per-tap GEMMs
+     * are zeroed). The whole input quantizes into xq; every later
+     * stage, S_BG rescale and untile included, runs one chunk of
+     * tile rows at a time like conv2dWinogradBlockedInto, so V, U32,
+     * U16, U8, M, Md and Y hold one chunk (each regrown only if
+     * smaller, winoChunkBuffer). Caller-provided buffers (e.g.
+     * ScratchArena slots) make the steady state allocation-free. A
+     * non-null `runner` shards the per-tap GEMMs
      * (bit-identical to serial — integer sums are order-free, and
      * the FP dequant is elementwise/row-pass, so results never
      * depend on batch size or sharding). Tolerance-equal to
@@ -108,15 +112,22 @@ class BlockedIntWinograd
     const IntWinogradConfig &config() const { return conv_->config(); }
 
   private:
-    /// Stages shared by both forward paths: quantize, gather, kron,
-    /// S_B rescale (shift- or round-based), widening per-tap GEMM.
-    /// With the u8 kernel engaged (8-bit operands on a VNNI host)
-    /// the rescale emits the biased-u8 operand into U8 and U16 stays
-    /// untouched; otherwise the int16 path runs.
-    void scatterGemm(const TensorD &input, bool useShifts,
-                     TensorI32 &xq, TensorI32 &V, TensorI32 &U32,
-                     TensorI16 &U16, TensorI8 &U8, TensorI32 &M,
-                     gemm::ParallelRunner *runner) const;
+    /// Spatial quantization of the whole blocked input into xq.
+    void quantizeInput(const TensorD &input, TensorI32 &xq) const;
+
+    /// Stages shared by both forward paths, on tile rows [g0, g1) of
+    /// the quantized input (P = (g1 - g0) * tilesX tiles): gather
+    /// into V, kron into U32, S_B rescale (shift- or round-based),
+    /// widening per-tap GEMM into M. With the u8 kernel engaged
+    /// (8-bit operands on a VNNI host) the rescale emits the
+    /// biased-u8 operand into U8 and U16 is not touched (may be
+    /// null); otherwise the int16 path runs and U8 may be null.
+    void scatterGemmRows(const TensorI32 &xq, std::size_t g0,
+                         std::size_t g1, bool useShifts,
+                         std::int32_t *V, std::int32_t *U32,
+                         std::int16_t *U16, std::uint8_t *U8,
+                         std::int32_t *M,
+                         gemm::ParallelRunner *runner) const;
 
     const IntWinogradConv *conv_;
     std::size_t cout_ = 0;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/tensor.hh"
@@ -97,6 +98,23 @@ class ScratchArena
         return shaped(f16slots_, slot, shape);
     }
 
+    /**
+     * A slot as it stands, empty on first use, for scratch its user
+     * sizes itself. The blocked Winograd compositions grow their
+     * chunk buffers only when a chunk needs more (winoChunkBuffer),
+     * so once a slot has grown to the largest chunk its worker runs,
+     * layers of any shape reuse it with no reshape or refill.
+     */
+    template <typename T>
+    Tensor<T> &
+    buffer(Slot slot)
+    {
+        std::deque<Tensor<T>> &s = slots<T>();
+        while (slot >= s.size())
+            s.emplace_back();
+        return s[slot];
+    }
+
     /** Slots holding live storage in this arena (any type). */
     std::size_t
     slotCount() const
@@ -120,6 +138,29 @@ class ScratchArena
     }
 
   private:
+    template <typename T>
+    std::deque<Tensor<T>> &
+    slots()
+    {
+        if constexpr (std::is_same_v<T, double>)
+            return dslots_;
+        else if constexpr (std::is_same_v<T, std::int64_t>)
+            return islots_;
+        else if constexpr (std::is_same_v<T, std::int8_t>)
+            return i8slots_;
+        else if constexpr (std::is_same_v<T, std::int32_t>)
+            return i32slots_;
+        else if constexpr (std::is_same_v<T, std::int16_t>)
+            return i16slots_;
+        else if constexpr (std::is_same_v<T, float>)
+            return fslots_;
+        else {
+            static_assert(std::is_same_v<T, std::uint16_t>,
+                          "no arena slots of this element type");
+            return f16slots_;
+        }
+    }
+
     // Slots live in deques so growing the arena never invalidates a
     // Tensor& handed out for another slot (a layer holds its output
     // while the backend draws its own scratch slots).

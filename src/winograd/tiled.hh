@@ -173,6 +173,44 @@ kronStripLen(std::size_t rowsIn, std::size_t elemBytes,
 }
 
 /**
+ * Bytes one chunk of a blocked Winograd layer may take in its largest
+ * tile buffer. The blocked compositions (layout/wino_blocked.hh,
+ * quant/int_wino_blocked.hh) run a layer in chunks of whole tile rows,
+ * each chunk going gather -> B-kron -> tap GEMM -> A-kron -> untile
+ * before the next starts, so its tile buffers stay in L2 between the
+ * stages instead of streaming the whole batch through DRAM five times.
+ *
+ * Chosen by a sweep on a shared 4-vCPU x86-64 guest (48 KiB L1d,
+ * 2 MiB L2), five alternating rounds of 20 s wide-fp32-bulk runs,
+ * throughput_rps per round:
+ *
+ *   256 KiB  265 270 258 236 228   (1-row chunks of 144 KiB)
+ *   512 KiB  252 236 244 232 217   (3-row chunks of 432 KiB)
+ *   1 MiB    239 206 228 234 206   (7-row chunks of 1008 KiB)
+ *
+ * 256 KiB won every round, but it splits cifar20's batch-1 32x32
+ * layers (288 KiB in their largest int8 buffer) into two chunks, and
+ * cifar-int8-open then read slower in three pairs of three (p50 6.07
+ * 4.79 4.65 against 4.82 4.44 4.33 ms; p90 13.1 8.4 7.9 against 9.0
+ * 5.7 5.0 ms). 512 KiB keeps every batch-1 layer of the bench nets in
+ * one chunk, so they run the unchunked schedule.
+ */
+inline constexpr std::size_t kWinoChunkBytes = 512 * 1024;
+
+/**
+ * Tile rows per chunk when one tile row takes `rowBytes` in the
+ * layer's largest tile buffer: as many as fit kWinoChunkBytes, and at
+ * least one (also for the empty rows of a zero-width input).
+ */
+constexpr std::size_t
+winoChunkRows(std::size_t rowBytes)
+{
+    return rowBytes == 0 || rowBytes >= kWinoChunkBytes
+               ? 1
+               : kWinoChunkBytes / rowBytes;
+}
+
+/**
  * The column-strip schedule every Kronecker kernel runs (applyKron
  * and the layout kernels' kron entries). A row-at-a-time pass
  * re-reads and re-writes its whole output row once per term, so F4's

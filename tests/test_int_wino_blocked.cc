@@ -10,8 +10,9 @@
  * Kronecker row passes), so like the FP blocked pipeline it is
  * tolerance-equal to the NCHW engine. Also covers the widening
  * layout kernels (tap GEMM, integer kron, requantization narrowing)
- * against their scalar references, and sharded == serial bit-identity
- * for the blocked int8 tap GEMM.
+ * against their scalar references, sharded == serial bit-identity
+ * for the blocked int8 tap GEMM, and the chunked forwardInto against
+ * the whole-buffer chain of public stage calls, bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -243,6 +244,147 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return name;
     });
+
+// ---------------------------------------- chunked forwardInto
+
+/**
+ * The whole-buffer chain of public stage calls that
+ * BlockedIntWinograd::forwardInto runs per chunk of tile rows, for
+ * power-of-two scales: quantize, gather, integer kron, shift
+ * requantization, per-tap GEMM, S_BG rescale, FP kron, untile. The
+ * tap GEMM is a scalar integer product on conv.tapWeights(): integer
+ * sums are order-free, so it equals the library's interleaved
+ * kernels (int16 or biased-u8) exactly.
+ */
+TensorD
+wholeChainInt8(const IntWinogradConv &conv, const TensorD &xb,
+               const double *bias8, bool relu)
+{
+    constexpr std::size_t kB = kLayoutBlock;
+    const IntWinogradConfig &cfg = conv.config();
+    const auto &k = layout::kernels();
+    const WinoDims d = winoDimsBlocked(xb.shape(), cfg.variant, cfg.pad);
+    const std::size_t t = d.t, tt = t * t, P = d.tiles;
+    const std::size_t cin = conv.cin(), cout = conv.cout();
+    const std::size_t cinb = xb.dim(1), coutb = layoutBlocks(cout);
+    const double sx = conv.inputScale();
+    const MatrixD &sb = conv.inputTapScale();
+
+    TensorI32 xq(xb.shape());
+    k.quantizeI32(xb.data(), 1.0 / sx,
+                  static_cast<double>(quantMin(cfg.spatialBits)),
+                  static_cast<double>(quantMax(cfg.spatialBits)),
+                  xq.data(), xb.numel());
+    TensorI32 V;
+    winogradGatherTilesBlocked(xq, cfg.variant, cfg.pad, V);
+    const std::size_t rowLen = cinb * P * kB;
+    TensorI32 U32(V.shape());
+    k.kronI32(winoInputKron<std::int32_t>(cfg.variant), V.data(), rowLen,
+              U32.data());
+    TensorI16 U16(V.shape());
+    for (std::size_t j = 0; j < tt; ++j)
+        k.rescaleI16(U32.data() + j * rowLen, U16.data() + j * rowLen,
+                     rowLen, log2Exact(sb(j / t, j % t)),
+                     cfg.winogradBits);
+
+    const std::vector<std::int64_t> &taps = conv.tapWeights();
+    TensorI32 M({tt, coutb, P, kB});
+    for (std::size_t j = 0; j < tt; ++j)
+        for (std::size_t oc = 0; oc < cout; ++oc)
+            for (std::size_t p = 0; p < P; ++p) {
+                std::int64_t acc = 0;
+                for (std::size_t ic = 0; ic < cin; ++ic)
+                    acc += taps[(j * cout + oc) * cin + ic] *
+                           U16[((j * cinb + ic / kB) * P + p) * kB +
+                               ic % kB];
+                M[((j * coutb + oc / kB) * P + p) * kB + oc % kB] =
+                    static_cast<std::int32_t>(acc);
+            }
+
+    const ScaleSet &ws = conv.weightScales();
+    TensorD Md({tt, coutb, P, kB});
+    std::vector<double> s8(kB);
+    for (std::size_t j = 0; j < tt; ++j)
+        for (std::size_t co = 0; co < coutb; ++co) {
+            for (std::size_t l = 0; l < kB; ++l) {
+                const std::size_t oc = co * kB + l;
+                s8[l] = oc < cout ? sb(j / t, j % t) *
+                                        ws.at(oc, j / t, j % t) * sx
+                                  : 0.0;
+            }
+            k.scaleI32F64(M.data() + (j * coutb + co) * P * kB,
+                          s8.data(),
+                          Md.data() + (j * coutb + co) * P * kB, P);
+        }
+    TensorD Y({d.m * d.m, coutb, P, kB});
+    k.kron(winoOutputKron<double>(cfg.variant), Md.data(),
+           coutb * P * kB, Y.data());
+    TensorD out({d.n, coutb, d.ho, d.wo, kB});
+    winogradUntileBlocked(Y, cfg.variant, out, bias8, relu);
+    return out;
+}
+
+TEST(ChunkedBlockedIntWino, MatchesWholeBufferStageChain)
+{
+    // 64 channels at 33x31, batch 3, splits into several chunks of
+    // tile rows with boundaries inside images (F2 also leaves a short
+    // tail chunk); at 116 wide one F4 tile row of Md exceeds the
+    // chunk budget on its own.
+    struct C
+    {
+        Shape nchw;
+        WinoVariant v;
+        int bits;
+    };
+    const C cases[] = {{{3, 64, 33, 31}, WinoVariant::F2, 8},
+                       {{3, 64, 33, 31}, WinoVariant::F4, 8},
+                       {{3, 64, 33, 31}, WinoVariant::F4, 10},
+                       {{2, 64, 6, 116}, WinoVariant::F4, 8}};
+    ThreadPool pool(3);
+    PoolRunner runner(pool, pool.size());
+    std::uint64_t seed = 5000;
+    for (const C &c : cases) {
+        IntWinogradConfig cfg;
+        cfg.variant = c.v;
+        cfg.winogradBits = c.bits;
+        const TensorD x = randomTensor(c.nchw, seed++);
+        const TensorD w = randomTensor({64, c.nchw[1], 3, 3}, seed++);
+        const std::vector<TensorD> cal{x};
+        const IntWinogradConv conv(w, cal, cfg);
+        const BlockedIntWinograd blk(conv);
+        TensorD xb(blockedShape(x.shape()));
+        nchwToBlocked(x, xb);
+        const WinoDims d = winoDimsBlocked(xb.shape(), c.v, 1);
+        // Md (f64, t*t taps) is this layer's largest tile buffer.
+        const std::size_t rowBytes = d.t * d.t * blk.coutb() *
+                                     d.tilesX * kLayoutBlock *
+                                     sizeof(double);
+        ASSERT_GT(d.n * d.tilesY, winoChunkRows(rowBytes))
+            << "case does not split into chunks";
+
+        std::vector<double> bias(blk.coutb() * kLayoutBlock, 0.0);
+        for (std::size_t i = 0; i < blk.cout(); ++i)
+            bias[i] = 0.01 * static_cast<double>(i % 5) - 0.02;
+        const TensorD whole =
+            wholeChainInt8(conv, xb, bias.data(), true);
+
+        TensorI32 xq, V, U32, M;
+        TensorI16 U16;
+        TensorI8 U8;
+        TensorD Md, Y;
+        TensorD out(whole.shape()), sharded(whole.shape());
+        blk.forwardInto(xb, xq, V, U32, U16, U8, M, Md, Y, out, nullptr,
+                        bias.data(), true);
+        blk.forwardInto(xb, xq, V, U32, U16, U8, M, Md, Y, sharded,
+                        &runner, bias.data(), true);
+        EXPECT_EQ(std::memcmp(out.data(), whole.data(),
+                              out.numel() * sizeof(double)),
+                  0)
+            << winoName(c.v) << " " << c.bits << "b W=" << c.nchw[3];
+        EXPECT_TRUE(sharded == out) << winoName(c.v);
+    }
+    pool.shutdown();
+}
 
 // ------------------------------------------- layout kernel oracles
 

@@ -3,13 +3,15 @@
  * Tests for the NCHWc8 blocked activation-layout subsystem
  * (src/layout/): layout round-trips, blocked tile gather/scatter-add
  * against their NCHW counterparts, the c-blocked per-tap GEMM, the
- * full blocked Winograd pipeline against the NCHW tiled path, and the
- * blocked-input im2col entry point.
+ * full blocked Winograd pipeline against the NCHW tiled path, the
+ * chunked FP and f16 compositions against the whole-buffer chain of
+ * stage calls, and the blocked-input im2col entry point.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "layout/kernels.hh"
@@ -268,6 +270,180 @@ INSTANTIATE_TEST_SUITE_P(Variants, BlockedWinograd,
                          [](const auto &info) {
                              return std::string(winoName(info.param));
                          });
+
+// ------------------------------------ chunked blocked compositions
+
+/**
+ * Layer shapes whose tile rows split into several chunks at
+ * kWinoChunkBytes: 64 channels at 33x31, batch 3, under every variant
+ * (chunk boundaries fall inside images, and some variants leave a
+ * short tail chunk), plus a 116-wide F4 layer whose single tile row
+ * exceeds the budget in the FP buffers.
+ */
+struct ChunkCase
+{
+    Shape nchw;
+    WinoVariant v;
+};
+
+const ChunkCase kChunkCases[] = {
+    {{3, 64, 33, 31}, WinoVariant::F2},
+    {{3, 64, 33, 31}, WinoVariant::F4},
+    {{3, 64, 33, 31}, WinoVariant::F6},
+    {{2, 64, 6, 116}, WinoVariant::F4},
+};
+
+/** How a layer's tile rows fall into chunks. */
+struct ChunkSplit
+{
+    std::size_t rows = 0;     ///< tile rows in the batch
+    std::size_t per = 0;      ///< tile rows per chunk
+    std::size_t rowBytes = 0; ///< one tile row of the largest buffer
+};
+
+/** The split of a layer with `cb` channel blocks on both sides, so
+ * its t*t-tap buffers are its largest. */
+ChunkSplit
+chunkSplit(const WinoDims &d, std::size_t cb, std::size_t elemBytes)
+{
+    ChunkSplit s;
+    s.rows = d.n * d.tilesY;
+    s.rowBytes = d.t * d.t * cb * d.tilesX * kLayoutBlock * elemBytes;
+    s.per = winoChunkRows(s.rowBytes);
+    return s;
+}
+
+/** Bias vector per 8-lane block, tail lanes zero. */
+template <typename T>
+std::vector<T>
+laneBias(std::size_t cout, std::size_t coutb)
+{
+    std::vector<T> b(coutb * kLayoutBlock, T{});
+    for (std::size_t i = 0; i < cout; ++i)
+        b[i] = static_cast<T>(0.05 * static_cast<double>(i % 7) - 0.1);
+    return b;
+}
+
+template <typename T>
+bool
+sameBits(const Tensor<T> &a, const Tensor<T> &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(T)) == 0;
+}
+
+TEST(ChunkedBlockedWinograd, FpMatchesWholeBufferStageChain)
+{
+    const auto &k = layout::kernels();
+    bool sawTail = false, sawSplitImage = false, sawWideRow = false;
+    std::uint64_t seed = 900;
+    for (const ChunkCase &c : kChunkCases) {
+        const TensorD x = randomTensor(c.nchw, seed++);
+        const TensorD w = randomTensor({64, c.nchw[1], 3, 3}, seed++);
+        const BlockedTapWeights bw =
+            blockedTapWeights(winogradPrepareTapWeights(w, c.v));
+        TensorD xb(blockedShape(c.nchw));
+        nchwToBlocked(x, xb);
+        const WinoDims d = winoDimsBlocked(xb.shape(), c.v, 1);
+        const std::vector<double> bias = laneBias<double>(64, bw.coutb);
+
+        // The whole-buffer chain of public stage calls.
+        TensorD V, U, M, Y;
+        winogradGatherTilesBlocked(xb, c.v, 1, V);
+        U = TensorD(V.shape());
+        k.kron(winoInputKron<double>(c.v), V.data(),
+               bw.cinb * d.tiles * kLayoutBlock, U.data());
+        winogradTapGemmBlocked(bw, U, M);
+        Y = TensorD({d.m * d.m, bw.coutb, d.tiles, kLayoutBlock});
+        k.kron(winoOutputKron<double>(c.v), M.data(),
+               bw.coutb * d.tiles * kLayoutBlock, Y.data());
+        TensorD whole({d.n, bw.coutb, d.ho, d.wo, kLayoutBlock});
+        winogradUntileBlocked(Y, c.v, whole, bias.data(), true);
+
+        const ChunkSplit s = chunkSplit(d, bw.cinb, sizeof(double));
+        ASSERT_GT(s.rows, s.per) << "case does not split into chunks";
+        sawTail |= s.rows % s.per != 0;
+        sawSplitImage |= s.per % d.tilesY != 0;
+        sawWideRow |= s.rowBytes > kWinoChunkBytes && s.per == 1;
+
+        // Chunked, into empty buffers and into flat buffers of exactly
+        // one chunk poisoned with NaN: every chunk element must be
+        // written before it is read, and a buffer that holds a chunk
+        // is used in place, never reshaped.
+        TensorD Vc, Uc, Mc, Yc;
+        TensorD chunked(whole.shape());
+        conv2dWinogradBlockedInto(xb, bw, 1, Vc, Uc, Mc, Yc, chunked,
+                                  nullptr, bias.data(), true);
+        EXPECT_TRUE(sameBits(chunked, whole))
+            << winoName(c.v) << " W=" << c.nchw[3];
+
+        const std::size_t chunk = s.per * d.tilesX * kLayoutBlock;
+        const auto flat = [&](std::size_t taps, std::size_t blocks) {
+            return TensorD({taps * blocks * chunk}, std::nan(""));
+        };
+        TensorD Vf = flat(d.t * d.t, bw.cinb);
+        TensorD Uf = flat(d.t * d.t, bw.cinb);
+        TensorD Mf = flat(d.t * d.t, bw.coutb);
+        TensorD Yf = flat(d.m * d.m, bw.coutb);
+        const Shape vShape = Vf.shape(), yShape = Yf.shape();
+        TensorD reused(whole.shape());
+        conv2dWinogradBlockedInto(xb, bw, 1, Vf, Uf, Mf, Yf, reused,
+                                  nullptr, bias.data(), true);
+        EXPECT_TRUE(sameBits(reused, whole)) << winoName(c.v);
+        EXPECT_EQ(Vf.shape(), vShape);
+        EXPECT_EQ(Yf.shape(), yShape);
+    }
+    EXPECT_TRUE(sawTail) << "no case leaves a short tail chunk";
+    EXPECT_TRUE(sawSplitImage) << "no chunk boundary inside an image";
+    EXPECT_TRUE(sawWideRow) << "no case has a row above the budget";
+}
+
+TEST(ChunkedBlockedWinograd, F16MatchesWholeBufferStageChain)
+{
+    const layout::F16Kernels &hk = layout::f16Kernels();
+    std::uint64_t seed = 950;
+    for (const ChunkCase &c : kChunkCases) {
+        const TensorD x = randomTensor(c.nchw, seed++);
+        const TensorD w = randomTensor({64, c.nchw[1], 3, 3}, seed++);
+        const BlockedTapWeightsF16 bw =
+            blockedTapWeightsF16(winogradPrepareTapWeights(w, c.v));
+        TensorD xb(blockedShape(c.nchw));
+        nchwToBlocked(x, xb);
+        TensorF16 xh(xb.shape());
+        tensorDToF16(xb, xh);
+        const WinoDims d = winoDimsBlocked(xh.shape(), c.v, 1);
+        const std::size_t tt = d.t * d.t, P = d.tiles;
+        const std::size_t inRow = bw.cinb * P * kLayoutBlock;
+        const std::size_t outRow = bw.coutb * P * kLayoutBlock;
+        const std::vector<float> bias = laneBias<float>(64, bw.coutb);
+        const ChunkSplit s = chunkSplit(d, bw.cinb, sizeof(float));
+        ASSERT_GT(s.rows, s.per) << "case does not split into chunks";
+
+        // The whole-buffer chain: gather, widen, kron, per-tap f16
+        // GEMM, kron, untile into fp32, narrow.
+        TensorF16 V16;
+        winogradGatherTilesBlocked(xh, c.v, 1, V16);
+        TensorF V(V16.shape()), U(V16.shape());
+        hk.widen(V16.data(), V.data(), V16.numel());
+        hk.kron(winoInputKron<float>(c.v), V.data(), inRow, U.data());
+        TensorF M({tt, bw.coutb, P, kLayoutBlock});
+        for (std::size_t k = 0; k < tt; ++k)
+            hk.tapGemm(bw.tap(k), U.data() + k * inRow,
+                       M.data() + k * outRow, bw.coutb, bw.cinb, P, 0,
+                       P);
+        TensorF Y({d.m * d.m, bw.coutb, P, kLayoutBlock});
+        hk.kron(winoOutputKron<float>(c.v), M.data(), outRow, Y.data());
+        TensorF outF({d.n, bw.coutb, d.ho, d.wo, kLayoutBlock});
+        winogradUntileBlocked(Y, c.v, outF, bias.data(), true);
+        TensorF16 whole(outF.shape());
+        hk.narrow(outF.data(), whole.data(), outF.numel());
+
+        const TensorF16 chunked = conv2dWinogradBlockedF16(
+            xh, bw, 1, bias.data(), true);
+        EXPECT_TRUE(sameBits(chunked, whole))
+            << winoName(c.v) << " W=" << c.nchw[3];
+    }
+}
 
 TEST(LayoutKernelsTest, QuantizeI8MatchesScalarQuantizer)
 {

@@ -127,6 +127,52 @@ TEST(LayoutPropagation, BatchedIsBitIdenticalToSequential)
     }
 }
 
+/** A chain of `depth` 3x3 convolutions, 16 channels at 8x8. */
+NetworkDesc
+convChain(std::size_t depth)
+{
+    ConvLayerDesc body;
+    body.name = "body";
+    body.cin = body.cout = 16;
+    body.height = body.width = 8;
+    body.repeat = depth;
+    NetworkDesc n;
+    n.name = "chain" + std::to_string(depth);
+    n.inputRes = 8;
+    n.layers.push_back(body);
+    return n;
+}
+
+TEST(LayoutPropagation, BlockedChainsShareOneTileSlotSet)
+{
+    // Every layer of a blocked chain runs its tile buffers through one
+    // shared set of chunk-sized arena slots, so a chain two layers
+    // deeper holds only those layers' own whole-tensor slots more:
+    // the output activation, plus the quantized input (int8) or the
+    // fp32 staging beside the half activation (f16).
+    struct C
+    {
+        ConvEngine engine;
+        std::size_t perLayer;
+    };
+    for (const C c : {C{ConvEngine::WinogradBlocked, 1},
+                      C{ConvEngine::WinogradBlockedInt8, 2},
+                      C{ConvEngine::WinogradBlockedF16, 2}}) {
+        std::size_t live[2] = {};
+        for (std::size_t i = 0; i < 2; ++i) {
+            SessionConfig cfg;
+            cfg.defaultEngine = c.engine;
+            cfg.variant = WinoVariant::F4;
+            const Session session(convChain(2 + 2 * i), cfg);
+            ScratchArena arena;
+            session.run(randomInput(session.inputShape(), 70), arena);
+            live[i] = arena.slotCount();
+        }
+        EXPECT_EQ(live[1], live[0] + 2 * c.perLayer)
+            << convEngineName(c.engine);
+    }
+}
+
 TEST(LayoutPropagation, ServerResponsesAreBitIdentical)
 {
     SessionConfig cfg;
