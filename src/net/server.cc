@@ -644,7 +644,12 @@ NetServer::statuszBody() const
             << ", \"layout_out\": "
             << jsonStr(actLayoutName(layout.out))
             << ", \"plan_source\": " << jsonStr(plan.source)
-            << ", \"probe_ns\": " << plan.probeNs;
+            << ", \"probe_ns\": " << plan.probeNs
+            << ", \"plan_margin_pct\": ";
+        if (plan.marginPct)
+            out << *plan.marginPct;
+        else
+            out << "null";
         if (plan.counters.valid) {
             out << ", \"perf\": {\"cycles\": " << plan.counters.cycles
                 << ", \"instructions\": "

@@ -174,6 +174,9 @@ helpFor(const std::string &family)
          "autoSelect decisions served from the plan cache"},
         {"twq_autoselect_cache_miss",
          "autoSelect decisions that required a live probe"},
+        {"twq_autoselect_memo_hit",
+         "autoSelect decisions adopted from an identical layer's race "
+         "in the same build"},
     };
     auto it = table.find(family);
     return it != table.end() ? it->second : "twq runtime metric";

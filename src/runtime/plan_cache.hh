@@ -36,7 +36,8 @@
  * conversion costs — NCHW→NCHWc8 and NCHWc8→NCHW, each measured at
  * the layer's INPUT shape and at its OUTPUT shape (the seam a
  * downstream neighbor or the chain egress sees) — followed by the
- * full candidate table, `n` then n (engine, variant, ns) triples. A
+ * full candidate table, `n` then n (engine, variant, ns) triples
+ * (ns as charged by the planner, see Cand). A
  * winner-only entry (n = 0, costs 0) is still honored: the session
  * adopts the recorded winner verbatim and the DP treats the layer
  * as fixed.
@@ -77,7 +78,12 @@ class PlanCache
     {
         ConvEngine engine = ConvEngine::Im2col;
         WinoVariant variant = WinoVariant::F2;
-        /** Best probe run for this candidate, ns. */
+        /**
+         * The time the planner charges this candidate, ns: its best
+         * probe round, or the race leader's best round when the
+         * candidate tied the leader (settleRace, runtime/session.hh),
+         * so the chain DP and later hits make the race's choice.
+         */
         std::uint64_t ns = 0;
     };
 

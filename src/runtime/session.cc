@@ -162,6 +162,34 @@ applyEpilogueBlocked(TensorD &t, std::size_t cout, const Epilogue &e)
 
 } // namespace
 
+RaceVerdict
+settleRace(const std::vector<std::vector<std::uint64_t>> &roundsNs)
+{
+    twq_assert(!roundsNs.empty(), "race without candidates");
+    std::vector<std::uint64_t> best;
+    for (const std::vector<std::uint64_t> &r : roundsNs) {
+        twq_assert(!r.empty(), "race candidate without timed rounds");
+        best.push_back(*std::min_element(r.begin(), r.end()));
+    }
+    const std::size_t leader = static_cast<std::size_t>(
+        std::min_element(best.begin(), best.end()) - best.begin());
+    std::vector<std::uint64_t> lr = roundsNs[leader];
+    std::sort(lr.begin(), lr.end());
+    const std::uint64_t bar = lr[std::min<std::size_t>(1, lr.size() - 1)];
+
+    RaceVerdict v;
+    v.pick = best.size();
+    v.chargedNs = best;
+    for (std::size_t c = 0; c < best.size(); ++c) {
+        if (best[c] > bar)
+            continue;
+        v.chargedNs[c] = best[leader];
+        if (v.pick == best.size())
+            v.pick = c;
+    }
+    return v;
+}
+
 Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     : net_(net), cfg_(cfg)
 {
@@ -285,18 +313,19 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         calRng.fillNormal(cal.storage(), 0.0, 1.0);
     }
 
-    // Plan cache resolution: a configured path loads before the build
-    // (a missing, malformed, or stale-signature file simply re-probes)
-    // and saves after it whenever the build added or refreshed plans.
-    PlanCache *cache = cfg.planCache;
-    if (!cfg_.planCachePath.empty()) {
-        if (!cache) {
-            ownedCache_ = std::make_unique<PlanCache>();
-            cache = ownedCache_.get();
-        }
+    // Plan cache resolution: the configured cache, else a build-local
+    // one. A configured path loads before the build (a missing,
+    // malformed, or stale-signature file simply re-probes) and saves
+    // after it whenever the build added or refreshed plans. With
+    // neither configured, the local cache is only a memo: each
+    // distinct key races once, every later identical layer takes the
+    // cache-hit path below, and nothing is saved.
+    PlanCache local;
+    PlanCache *cache = cfg.planCache ? cfg.planCache : &local;
+    const bool memoOnly = !cfg.planCache && cfg_.planCachePath.empty();
+    if (!cfg_.planCachePath.empty())
         cache->loadFile(cfg_.planCachePath);
-    }
-    const std::uint64_t cacheRev0 = cache ? cache->revision() : 0;
+    const std::uint64_t cacheRev0 = cache->revision();
 
     // Selection state retained across the layer loop for the
     // chain-aware layout DP: each raced layer's measured candidate
@@ -325,7 +354,7 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
 
         // ConvEngine-auto policy membership is decided up front so
         // the shape seed can steer which candidate is prepared first
-        // (and wins ties): raced layers start on the variant/engine
+        // (and wins near-ties): raced layers start on the variant/engine
         // the layer's geometry suggests instead of blindly on the
         // configured default. The race still measures the full set,
         // so the seed is free when right and measured away when
@@ -348,6 +377,86 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                 registry.get(se)->supports(layer.desc)) {
                 layer.engine = se;
                 layer.backend = registry.get(se);
+            }
+        }
+
+        // The candidate set a race draws from — and the only cached
+        // decisions (winner and table rows) a layer will adopt: a
+        // foreign or corrupted cache entry (a quantized engine for an
+        // FP layer, whose prepare() needs calibration the FP path
+        // never built, or an int8 Winograd variant outside the
+        // bitwidth model's envelope) is ignored and the layer
+        // re-probed.
+        const auto raceable = [&](ConvEngine e, WinoVariant v) {
+            bool member;
+            if (fpRace)
+                member = e == ConvEngine::Im2col ||
+                         e == ConvEngine::WinogradFp32 ||
+                         e == ConvEngine::WinogradBlocked ||
+                         (cfg.raceF16 &&
+                          e == ConvEngine::WinogradBlockedF16);
+            else
+                member = e == ConvEngine::Im2colInt8 ||
+                         ((e == ConvEngine::WinogradInt8 ||
+                           e == ConvEngine::WinogradBlockedInt8) &&
+                          winoInt8Eligible(v, cfg.quant.winogradBits,
+                                           layer.desc.cin));
+            return member && registry.get(e)->supports(layer.desc);
+        };
+
+        // A cached (or memoized) decision applies a previously
+        // measured plan — winner, candidate table and conversion
+        // costs — without re-running the probe. It is adopted before
+        // prepare(), so the layer is prepared once, with its own
+        // weights and calibration.
+        bool applied = false;
+        std::string planKey;
+        if (raced) {
+            planKey = PlanCache::layerKey(layer.desc,
+                                          cfg.autoSelectBatch, quantRace);
+            // Keyed apart from plain races: a fused epilogue adds
+            // work to the timed output write, and the f16 race has
+            // a wider candidate set — reusing one key across these
+            // policies would thrash the cache entry on every
+            // alternating build.
+            if (cfg.fuseEpilogues && layer.epilogue.active())
+                planKey += ":fe";
+            if (fpRace && cfg.raceF16)
+                planKey += ":h";
+            PlanCache::Decision hit;
+            if (cache->lookup(planKey, &hit) &&
+                raceable(hit.engine, hit.variant)) {
+                layer.engine = hit.engine;
+                layer.variant = hit.variant;
+                layer.backend = registry.get(hit.engine);
+                // Provenance travels with the cached plan so /statusz
+                // can show why it won even though this layer never
+                // probed.
+                layer.planSource = memoOnly ? "memo" : "cache";
+                layer.planProbeNs = hit.probeNs;
+                layer.planCounters.cycles = hit.cycles;
+                layer.planCounters.instructions = hit.instructions;
+                layer.planCounters.cacheRefs = hit.cacheRefs;
+                layer.planCounters.cacheMisses = hit.cacheMisses;
+                layer.planCounters.valid =
+                    hit.cycles != 0 || hit.instructions != 0;
+                applied = true;
+                obs::Registry::global()
+                    .counter(memoOnly ? "autoselect.memo_hit"
+                                      : "autoselect.cache_hit")
+                    .inc();
+                // A cached candidate table (and conversion costs)
+                // re-enters the chain DP with zero re-measurement; a
+                // winner-only entry (empty or fully filtered table)
+                // is adopted verbatim and stays fixed in the DP.
+                plans[i].inToBlockedNs = hit.inToBlockedNs;
+                plans[i].inToNchwNs = hit.inToNchwNs;
+                plans[i].outToBlockedNs = hit.outToBlockedNs;
+                plans[i].outToNchwNs = hit.outToNchwNs;
+                for (const PlanCache::Cand &cc : hit.table)
+                    if (raceable(cc.engine, cc.variant))
+                        plans[i].cands.push_back(cc);
+                plans[i].raced = plans[i].cands.size() > 1;
             }
         }
 
@@ -403,317 +512,206 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         // costs at the layer's boundary shapes so the chain DP below
         // can charge them on the seams where they actually occur.
         // Ineligible layers never reach here with a raceable engine,
-        // so they always stay on their fallback. A plan-cache hit
-        // applies a previously measured decision (winner, candidate
-        // table, and conversion costs) without re-running the probe.
-        if (raced) {
-            // The candidate set this race draws from — and the only
-            // cached decisions it will apply: a foreign or corrupted
-            // cache entry (e.g. a quantized engine for an FP layer,
-            // whose prepare() needs calibration the FP path never
-            // built) is ignored and the layer re-probed.
-            const auto raceable = [&](ConvEngine e) {
-                if (fpRace)
-                    return e == ConvEngine::Im2col ||
-                           e == ConvEngine::WinogradFp32 ||
-                           e == ConvEngine::WinogradBlocked ||
-                           (cfg.raceF16 &&
-                            e == ConvEngine::WinogradBlockedF16);
-                return e == ConvEngine::Im2colInt8 ||
-                       e == ConvEngine::WinogradInt8 ||
-                       e == ConvEngine::WinogradBlockedInt8;
+        // so they always stay on their fallback.
+        if (raced && !applied) {
+            // Counts probed layers (cache misses, stale entries the
+            // raceable() guard rejected, and first sightings of a
+            // key in a cacheless build alike).
+            obs::Registry::global()
+                .counter("autoselect.cache_miss")
+                .inc();
+            // The contract a tuned plan cache is judged by: one tick
+            // per layer whose candidate race actually ran in this
+            // process. A cold build against a fully tuned cache reads
+            // zero here.
+            obs::Registry::global().counter("plan.probes").inc();
+            TensorD probe({std::max<std::size_t>(cfg.autoSelectBatch, 1),
+                           layer.desc.cin, layer.desc.height,
+                           layer.desc.width});
+            Rng probeRng(cfg.calibrationSeed ^ (0x9e3779b9ull + i));
+            probeRng.fillNormal(probe.storage(), 0.0, 1.0);
+            TensorD probeBlocked;
+            ScratchArena probeArena;
+
+            struct Candidate
+            {
+                ConvEngine engine;
+                WinoVariant variant;
+                std::shared_ptr<const ConvBackend> backend;
+                std::shared_ptr<const PreparedLayer> prepared;
             };
-            bool applied = false;
-            std::string planKey;
-            if (cache) {
-                planKey = PlanCache::layerKey(
-                    layer.desc, cfg.autoSelectBatch, quantRace);
-                // Keyed apart from plain races: a fused epilogue adds
-                // work to the timed output write, and the f16 race has
-                // a wider candidate set — reusing one key across these
-                // policies would thrash the cache entry on every
-                // alternating build.
-                if (cfg.fuseEpilogues && layer.epilogue.active())
-                    planKey += ":fe";
-                if (fpRace && cfg.raceF16)
-                    planKey += ":h";
-                PlanCache::Decision hit;
-                if (cache->lookup(planKey, &hit) &&
-                    raceable(hit.engine)) {
-                    std::shared_ptr<const ConvBackend> b =
-                        registry.get(hit.engine);
-                    if (b->supports(layer.desc)) {
-                        if (hit.engine != layer.engine ||
-                            hit.variant != layer.variant) {
-                            LayerBuild cbuild = build;
-                            cbuild.variant = hit.variant;
-                            layer.prepared = b->prepare(
-                                layer.desc, weights[i], cbuild);
-                        }
-                        layer.engine = hit.engine;
-                        layer.variant = hit.variant;
-                        layer.backend = std::move(b);
-                        // Provenance travels with the cached plan so
-                        // /statusz can show why it won even though
-                        // this process never probed.
-                        layer.planSource = "cache";
-                        layer.planProbeNs = hit.probeNs;
-                        layer.planCounters.cycles = hit.cycles;
-                        layer.planCounters.instructions =
-                            hit.instructions;
-                        layer.planCounters.cacheRefs = hit.cacheRefs;
-                        layer.planCounters.cacheMisses =
-                            hit.cacheMisses;
-                        layer.planCounters.valid =
-                            hit.cycles != 0 || hit.instructions != 0;
-                        applied = true;
-                        obs::Registry::global()
-                            .counter("autoselect.cache_hit")
-                            .inc();
-                        // A cached candidate table (and conversion
-                        // costs) re-enters the chain DP with zero
-                        // re-measurement; a winner-only entry (empty
-                        // or fully filtered table) is adopted
-                        // verbatim and stays fixed in the DP.
-                        plans[i].inToBlockedNs = hit.inToBlockedNs;
-                        plans[i].inToNchwNs = hit.inToNchwNs;
-                        plans[i].outToBlockedNs = hit.outToBlockedNs;
-                        plans[i].outToNchwNs = hit.outToNchwNs;
-                        for (const PlanCache::Cand &cc : hit.table)
-                            if (raceable(cc.engine) &&
-                                registry.get(cc.engine)
-                                    ->supports(layer.desc))
-                                plans[i].cands.push_back(cc);
-                        plans[i].raced = plans[i].cands.size() > 1;
-                    }
+            std::vector<Candidate> cands;
+            cands.push_back({layer.engine, layer.variant, layer.backend,
+                             layer.prepared});
+            const auto addCandidate = [&](ConvEngine e, WinoVariant v) {
+                if (e == cands[0].engine && v == cands[0].variant)
+                    return; // already racing as the incumbent
+                Candidate c;
+                c.engine = e;
+                c.variant = v;
+                c.backend = registry.get(e);
+                LayerBuild vbuild = build;
+                vbuild.variant = v;
+                c.prepared =
+                    c.backend->prepare(layer.desc, weights[i], vbuild);
+                cands.push_back(std::move(c));
+            };
+            if (fpRace) {
+                for (WinoVariant v : kAllWinoVariants) {
+                    addCandidate(ConvEngine::WinogradFp32, v);
+                    addCandidate(ConvEngine::WinogradBlocked, v);
+                    if (cfg.raceF16)
+                        addCandidate(ConvEngine::WinogradBlockedF16, v);
                 }
+                addCandidate(ConvEngine::Im2col, cfg.variant);
+            } else {
+                // Variants outside the bitwidth model's int8 envelope
+                // (F6 always — its transforms are not integer) never
+                // enter the quantized race.
+                for (WinoVariant v : kAllWinoVariants) {
+                    if (!winoInt8Eligible(v, cfg.quant.winogradBits,
+                                          layer.desc.cin))
+                        continue;
+                    addCandidate(ConvEngine::WinogradInt8, v);
+                    addCandidate(ConvEngine::WinogradBlockedInt8, v);
+                }
+                addCandidate(ConvEngine::Im2colInt8, cfg.variant);
             }
-            if (!applied) {
-                // Counts probed layers (cache misses, stale entries
-                // the raceable() guard rejected, and cacheless
-                // builds alike).
-                obs::Registry::global()
-                    .counter("autoselect.cache_miss")
-                    .inc();
-                // The contract a tuned plan cache is judged by: one
-                // tick per layer whose candidate race actually ran
-                // in this process. A cold build against a fully
-                // tuned cache reads zero here.
-                obs::Registry::global().counter("plan.probes").inc();
-                TensorD probe(
-                    {std::max<std::size_t>(cfg.autoSelectBatch, 1),
-                     layer.desc.cin, layer.desc.height,
-                     layer.desc.width});
-                Rng probeRng(cfg.calibrationSeed ^ (0x9e3779b9ull + i));
-                probeRng.fillNormal(probe.storage(), 0.0, 1.0);
-                TensorD probeBlocked;
-                ScratchArena probeArena;
 
-                struct Candidate
-                {
-                    ConvEngine engine;
-                    WinoVariant variant;
-                    std::shared_ptr<const ConvBackend> backend;
-                    std::shared_ptr<const PreparedLayer> prepared;
-                };
-                std::vector<Candidate> cands;
-                cands.push_back({layer.engine, layer.variant,
-                                 layer.backend, layer.prepared});
-                const auto addCandidate = [&](ConvEngine e,
-                                              WinoVariant v) {
-                    if (e == cands[0].engine && v == cands[0].variant)
-                        return; // already racing as the incumbent
-                    Candidate c;
-                    c.engine = e;
-                    c.variant = v;
-                    c.backend = registry.get(e);
-                    LayerBuild vbuild = build;
-                    vbuild.variant = v;
-                    c.prepared = c.backend->prepare(layer.desc,
-                                                    weights[i], vbuild);
-                    cands.push_back(std::move(c));
-                };
-                if (fpRace) {
-                    for (WinoVariant v : kAllWinoVariants) {
-                        addCandidate(ConvEngine::WinogradFp32, v);
-                        addCandidate(ConvEngine::WinogradBlocked, v);
-                        if (cfg.raceF16)
-                            addCandidate(
-                                ConvEngine::WinogradBlockedF16, v);
-                    }
-                    addCandidate(ConvEngine::Im2col, cfg.variant);
-                } else {
-                    // Variants outside the bitwidth model's int8
-                    // envelope (F6 always — its transforms are not
-                    // integer) never enter the quantized race.
-                    for (WinoVariant v : kAllWinoVariants) {
-                        if (!winoInt8Eligible(v,
-                                              cfg.quant.winogradBits,
-                                              layer.desc.cin))
-                            continue;
-                        addCandidate(ConvEngine::WinogradInt8, v);
-                        addCandidate(ConvEngine::WinogradBlockedInt8,
-                                     v);
-                    }
-                    addCandidate(ConvEngine::Im2colInt8,
-                                 cfg.variant);
+            const auto probeFor =
+                [&](const Candidate &c) -> const TensorD * {
+                if (c.backend->inputLayout() != ActLayout::NCHWc8)
+                    return &probe;
+                if (probeBlocked.numel() == 0) {
+                    probeBlocked = TensorD(blockedShape(probe.shape()));
+                    nchwToBlocked(probe, probeBlocked);
                 }
-
-                const auto probeFor =
-                    [&](const Candidate &c) -> const TensorD * {
-                    if (c.backend->inputLayout() != ActLayout::NCHWc8)
-                        return &probe;
-                    if (probeBlocked.numel() == 0) {
-                        probeBlocked =
-                            TensorD(blockedShape(probe.shape()));
-                        nchwToBlocked(probe, probeBlocked);
-                    }
-                    return &probeBlocked;
-                };
-                // f16 candidates are timed on their native binary16
-                // hot path with a pre-narrowed probe — symmetric with
-                // blocked candidates getting a blocked probe: steady-
-                // state layout/storage propagation hands them halves
-                // inside an f16 chain, and boundary conversions are
-                // a seam cost not charged to the layer.
-                TensorF16 probeHalf;
-                const auto timeCand = [&](const Candidate &c,
-                                          ScratchArena &arena) {
-                    if (!c.backend->f16Storage())
-                        return timeBackendRun(*c.backend, *c.prepared,
-                                              *probeFor(c), arena, 1);
-                    if (probeHalf.numel() == 0) {
-                        const TensorD *pb = probeFor(c);
-                        probeHalf = TensorF16(pb->shape());
-                        tensorDToF16(*pb, probeHalf);
-                    }
-                    return timeBackendRunF16(*c.backend, *c.prepared,
-                                             probeHalf, arena, 1);
-                };
-                // Interleaved best-of rounds: timing the candidates
-                // back-to-back would hand the last one warmed caches
-                // and a ramped-up clock; round-robin rounds spread
-                // those drifts symmetrically, and each candidate
-                // keeps its best round (timeBackendRun additionally
-                // precedes every timed run with an untimed warmup).
-                std::vector<double> bestT(
-                    cands.size(),
-                    std::numeric_limits<double>::infinity());
-                // Hardware counters ride each probe run (a cheap
-                // reset/enable ioctl pair when available, a no-op
-                // otherwise); each candidate keeps the counters of
-                // its best-time round, so the persisted provenance
-                // describes the run that actually won.
-                std::vector<obs::PerfCounters> bestC(cands.size());
-                for (int round = 0; round < 3; ++round)
-                    for (std::size_t ci = 0; ci < cands.size();
-                         ++ci) {
-                        TWQ_SPAN_ARG(
-                            "autoselect.probe",
-                            static_cast<std::int64_t>(ci));
-                        obs::PerfScope perf;
-                        const double t =
-                            timeCand(cands[ci], probeArena);
-                        const obs::PerfCounters pc = perf.stop();
-                        if (t < bestT[ci]) {
-                            bestT[ci] = t;
-                            bestC[ci] = pc;
-                        }
-                    }
-                std::size_t best = 0;
-                for (std::size_t ci = 1; ci < cands.size(); ++ci)
-                    if (bestT[ci] < bestT[best])
-                        best = ci;
-                obs::traceInstant("autoselect.pick",
-                                  static_cast<std::int64_t>(best));
-                layer.engine = cands[best].engine;
-                layer.variant = cands[best].variant;
-                layer.backend = std::move(cands[best].backend);
-                layer.prepared = std::move(cands[best].prepared);
-                layer.planSource = "probed";
-                layer.planProbeNs =
-                    bestT[best] <
-                            std::numeric_limits<double>::infinity()
-                        ? static_cast<std::uint64_t>(bestT[best] *
-                                                     1e9)
-                        : 0;
-                layer.planCounters = bestC[best];
-
-                // Record the full table for the chain DP (and the
-                // cache): every candidate with its best round, in
-                // race order.
-                plans[i].raced = cands.size() > 1;
-                for (std::size_t ci = 0; ci < cands.size(); ++ci)
-                    plans[i].cands.push_back(
-                        {cands[ci].engine, cands[ci].variant,
-                         bestT[ci] <
-                                 std::numeric_limits<
-                                     double>::infinity()
-                             ? static_cast<std::uint64_t>(
-                                   bestT[ci] * 1e9)
-                             : 0});
-
-                // Seam conversion costs on the same probe data
-                // (best of 3): NCHW↔NCHWc8 at the input shape and at
-                // the output shape. The chain DP charges these
-                // wherever adjacent picks disagree on layout; the
-                // boundary between two layers is one shape, so a
-                // neighbor missing its own measurement borrows this
-                // one.
-                const auto timeConvNs = [](auto &&fn) {
-                    using clock = std::chrono::steady_clock;
-                    std::uint64_t best = ~std::uint64_t{0};
-                    for (int r = 0; r < 3; ++r) {
-                        const auto t0 = clock::now();
-                        fn();
-                        const auto t1 = clock::now();
-                        best = std::min(
-                            best,
-                            static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(t1 - t0)
-                                    .count()));
-                    }
-                    return best;
-                };
-                TensorD cvtBlocked(blockedShape(probe.shape()));
-                TensorD cvtNchw(probe.shape());
-                plans[i].inToBlockedNs = timeConvNs(
-                    [&] { nchwToBlocked(probe, cvtBlocked); });
-                plans[i].inToNchwNs = timeConvNs(
-                    [&] { blockedToNchw(cvtBlocked, cvtNchw); });
-                TensorD outNchw(
-                    {std::max<std::size_t>(cfg.autoSelectBatch, 1),
-                     layer.desc.cout, layer.desc.outHeight(),
-                     layer.desc.outWidth()});
-                probeRng.fillNormal(outNchw.storage(), 0.0, 1.0);
-                TensorD outBlocked(blockedShape(outNchw.shape()));
-                plans[i].outToBlockedNs = timeConvNs(
-                    [&] { nchwToBlocked(outNchw, outBlocked); });
-                plans[i].outToNchwNs = timeConvNs(
-                    [&] { blockedToNchw(outBlocked, outNchw); });
-
-                if (cache) {
-                    PlanCache::Decision d;
-                    d.engine = layer.engine;
-                    d.variant = layer.variant;
-                    d.probeNs = layer.planProbeNs;
-                    if (layer.planCounters.valid) {
-                        d.cycles = layer.planCounters.cycles;
-                        d.instructions =
-                            layer.planCounters.instructions;
-                        d.cacheRefs = layer.planCounters.cacheRefs;
-                        d.cacheMisses =
-                            layer.planCounters.cacheMisses;
-                    }
-                    d.inToBlockedNs = plans[i].inToBlockedNs;
-                    d.inToNchwNs = plans[i].inToNchwNs;
-                    d.outToBlockedNs = plans[i].outToBlockedNs;
-                    d.outToNchwNs = plans[i].outToNchwNs;
-                    d.table = plans[i].cands;
-                    cache->store(planKey, d);
+                return &probeBlocked;
+            };
+            // f16 candidates are timed on their native binary16 hot
+            // path with a pre-narrowed probe — symmetric with blocked
+            // candidates getting a blocked probe: steady-state
+            // layout/storage propagation hands them halves inside an
+            // f16 chain, and boundary conversions are a seam cost not
+            // charged to the layer.
+            TensorF16 probeHalf;
+            const auto timeCand = [&](const Candidate &c,
+                                      ScratchArena &arena) {
+                if (!c.backend->f16Storage())
+                    return timeBackendRun(*c.backend, *c.prepared,
+                                          *probeFor(c), arena, 1);
+                if (probeHalf.numel() == 0) {
+                    const TensorD *pb = probeFor(c);
+                    probeHalf = TensorF16(pb->shape());
+                    tensorDToF16(*pb, probeHalf);
                 }
+                return timeBackendRunF16(*c.backend, *c.prepared,
+                                         probeHalf, arena, 1);
+            };
+            // Interleaved rounds: timing the candidates back-to-back
+            // would hand the last one warmed caches and a ramped-up
+            // clock; round-robin rounds spread those drifts
+            // symmetrically (timeBackendRun additionally precedes
+            // every timed run with an untimed warmup). Every round is
+            // kept for settleRace.
+            std::vector<std::vector<std::uint64_t>> roundsNs(
+                cands.size());
+            // Hardware counters ride each probe run (a cheap
+            // reset/enable ioctl pair when available, a no-op
+            // otherwise); each candidate keeps the counters of its
+            // best-time round, so the persisted provenance describes
+            // the run that actually won.
+            std::vector<std::uint64_t> bestNs(cands.size(),
+                                              ~std::uint64_t{0});
+            std::vector<obs::PerfCounters> bestC(cands.size());
+            for (int round = 0; round < 3; ++round)
+                for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+                    TWQ_SPAN_ARG("autoselect.probe",
+                                 static_cast<std::int64_t>(ci));
+                    obs::PerfScope perf;
+                    const auto ns = static_cast<std::uint64_t>(
+                        timeCand(cands[ci], probeArena) * 1e9);
+                    const obs::PerfCounters pc = perf.stop();
+                    roundsNs[ci].push_back(ns);
+                    if (ns < bestNs[ci]) {
+                        bestNs[ci] = ns;
+                        bestC[ci] = pc;
+                    }
+                }
+            const RaceVerdict verdict = settleRace(roundsNs);
+            const std::size_t best = verdict.pick;
+            obs::traceInstant("autoselect.pick",
+                              static_cast<std::int64_t>(best));
+            layer.engine = cands[best].engine;
+            layer.variant = cands[best].variant;
+            layer.backend = std::move(cands[best].backend);
+            layer.prepared = std::move(cands[best].prepared);
+            layer.planSource = "probed";
+            layer.planProbeNs = bestNs[best];
+            layer.planCounters = bestC[best];
+
+            // Record the full table for the chain DP (and the cache):
+            // every candidate at the time settleRace charges it, in
+            // race order.
+            plans[i].raced = cands.size() > 1;
+            for (std::size_t ci = 0; ci < cands.size(); ++ci)
+                plans[i].cands.push_back({cands[ci].engine,
+                                          cands[ci].variant,
+                                          verdict.chargedNs[ci]});
+
+            // Seam conversion costs on the same probe data (best of
+            // 3): NCHW↔NCHWc8 at the input shape and at the output
+            // shape. The chain DP charges these wherever adjacent
+            // picks disagree on layout; the boundary between two
+            // layers is one shape, so a neighbor missing its own
+            // measurement borrows this one.
+            const auto timeConvNs = [](auto &&fn) {
+                using clock = std::chrono::steady_clock;
+                std::uint64_t best = ~std::uint64_t{0};
+                for (int r = 0; r < 3; ++r) {
+                    const auto t0 = clock::now();
+                    fn();
+                    const auto t1 = clock::now();
+                    best = std::min(
+                        best, static_cast<std::uint64_t>(
+                                  std::chrono::duration_cast<
+                                      std::chrono::nanoseconds>(t1 - t0)
+                                      .count()));
+                }
+                return best;
+            };
+            TensorD cvtBlocked(blockedShape(probe.shape()));
+            TensorD cvtNchw(probe.shape());
+            plans[i].inToBlockedNs =
+                timeConvNs([&] { nchwToBlocked(probe, cvtBlocked); });
+            plans[i].inToNchwNs =
+                timeConvNs([&] { blockedToNchw(cvtBlocked, cvtNchw); });
+            TensorD outNchw({std::max<std::size_t>(cfg.autoSelectBatch, 1),
+                             layer.desc.cout, layer.desc.outHeight(),
+                             layer.desc.outWidth()});
+            probeRng.fillNormal(outNchw.storage(), 0.0, 1.0);
+            TensorD outBlocked(blockedShape(outNchw.shape()));
+            plans[i].outToBlockedNs =
+                timeConvNs([&] { nchwToBlocked(outNchw, outBlocked); });
+            plans[i].outToNchwNs =
+                timeConvNs([&] { blockedToNchw(outBlocked, outNchw); });
+
+            PlanCache::Decision d;
+            d.engine = layer.engine;
+            d.variant = layer.variant;
+            d.probeNs = layer.planProbeNs;
+            if (layer.planCounters.valid) {
+                d.cycles = layer.planCounters.cycles;
+                d.instructions = layer.planCounters.instructions;
+                d.cacheRefs = layer.planCounters.cacheRefs;
+                d.cacheMisses = layer.planCounters.cacheMisses;
             }
+            d.inToBlockedNs = plans[i].inToBlockedNs;
+            d.inToNchwNs = plans[i].inToNchwNs;
+            d.outToBlockedNs = plans[i].outToBlockedNs;
+            d.outToNchwNs = plans[i].outToNchwNs;
+            d.table = plans[i].cands;
+            cache->store(planKey, d);
         }
 
         // Layout plan: read the final backend's contract once; the
@@ -875,6 +873,8 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             layer.backend = std::move(b);
             layer.layout = {layer.backend->inputLayout(),
                             layer.backend->outputLayout()};
+            // The table's charged time: a row tied with its race's
+            // leader carries the leader's best round, not its own.
             layer.planProbeNs = plans[i].cands[pick[i]].ns;
             // The provenance counters described the local winner's
             // probe, not this pick's; drop rather than misattribute.
@@ -882,10 +882,32 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         }
     }
 
+    // Decision margin per raced layer, from its recorded table: how
+    // far the fastest other candidate trails the final pick.
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        if (!plans[i].raced)
+            continue;
+        Layer &layer = layers_[i];
+        const PlanCache::Cand *pick = nullptr;
+        std::uint64_t other = ~std::uint64_t{0};
+        for (const PlanCache::Cand &c : plans[i].cands) {
+            if (!pick && c.engine == layer.engine &&
+                c.variant == layer.variant)
+                pick = &c;
+            else
+                other = std::min(other, c.ns);
+        }
+        if (pick && pick->ns > 0 && other != ~std::uint64_t{0})
+            layer.planMarginPct =
+                100.0 *
+                (static_cast<double>(other) -
+                 static_cast<double>(pick->ns)) /
+                static_cast<double>(pick->ns);
+    }
+
     // Persist newly measured plans so the next build (a restarted
     // server, an identical replica) skips the probes entirely.
-    if (cache && !cfg_.planCachePath.empty() &&
-        cache->revision() != cacheRev0)
+    if (!cfg_.planCachePath.empty() && cache->revision() != cacheRev0)
         cache->saveFile(cfg_.planCachePath);
 }
 
@@ -937,6 +959,7 @@ Session::layerPlan(std::size_t i) const
     info.source = layer.planSource;
     info.probeNs = layer.planProbeNs;
     info.counters = layer.planCounters;
+    info.marginPct = layer.planMarginPct;
     return info;
 }
 

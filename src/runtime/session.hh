@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,11 @@ struct SessionConfig
      * never an FP engine, which would silently drop the configured
      * quantization. Ineligible layers still always land on their
      * im2col fallback, and explicit layerEngines overrides are
-     * honored unmeasured.
+     * honored unmeasured. Each distinct plan key
+     * (PlanCache::layerKey) races once per build: later identical
+     * layers adopt that race's outcome (see planCache), and
+     * candidates within noise of the fastest are settled by race
+     * order (settleRace).
      */
     bool autoSelect = false;
 
@@ -101,8 +106,8 @@ struct SessionConfig
      * exactly and whose channel width amortizes the wider transform,
      * and start wide-channel layers on the blocked engine. The race
      * still measures the full candidate set — the seed only decides
-     * which candidate is prepared first and wins ties — so a good
-     * seed costs nothing and a bad one is measured away.
+     * which candidate is prepared first and wins near-ties — so a
+     * good seed costs nothing and a bad one is measured away.
      */
     bool shapeSeed = true;
 
@@ -125,7 +130,10 @@ struct SessionConfig
      * sessions and serializable (runtime/plan_cache.hh). A hit keyed
      * by the layer's shape (and probe batch) applies the cached
      * engine/variant/layout without re-running the probe; a miss
-     * measures as usual and records the winner.
+     * measures as usual and records the winner. Null, an autoSelect
+     * build memoizes its races in a build-local cache instead, so
+     * each distinct key still races once per build; that memo is
+     * never saved, and the next build races again.
      */
     PlanCache *planCache = nullptr;
 
@@ -134,7 +142,7 @@ struct SessionConfig
      * this file into its plan cache before the build (ignoring a
      * missing, malformed, or stale-signature file — those re-probe)
      * and saves it back after the build if any plan was added or
-     * refreshed. With a null `planCache` the session owns a private
+     * refreshed. With a null `planCache` the build uses a private
      * cache behind the path; with both set, the shared cache is
      * loaded from and saved to the path. The file format is versioned
      * against the kernel-table/CPU signature (PlanCache::signature),
@@ -197,11 +205,50 @@ struct LayerPlanInfo
     std::string name;
     ConvEngine engine = ConvEngine::Im2col;
     WinoVariant variant = WinoVariant::F2;
-    /** "default" | "configured" | "cache" | "probed". */
+    /**
+     * "default" | "configured" | "cache" | "memo" | "probed". "memo"
+     * is a layer that adopted an identical earlier layer's race in
+     * the same build (no plan cache configured).
+     */
     const char *source = "default";
     std::uint64_t probeNs = 0;
     obs::PerfCounters counters;
+    /**
+     * Decision margin from the layer's recorded candidate table:
+     * 100 × (fastest other candidate − pick) / pick. 0 when the
+     * near-tie rule decided; negative when the chain DP took a
+     * slower candidate to save layout conversions. Empty for layers
+     * that did not race and for winner-only cache entries.
+     */
+    std::optional<double> marginPct;
 };
+
+/** One autoSelect race, settled (settleRace). */
+struct RaceVerdict
+{
+    /** Index of the picked candidate, in race order. */
+    std::size_t pick = 0;
+    /**
+     * Per candidate, in race order, the time the planner charges it
+     * (PlanCache::Cand::ns): its own best round, or the leader's
+     * best round for candidates tied with the leader.
+     */
+    std::vector<std::uint64_t> chargedNs;
+};
+
+/**
+ * autoSelect's pick rule. `roundsNs[c]` holds candidate c's timed
+ * rounds, candidates in race order (the shape-seeded incumbent
+ * first). The leader is the candidate with the lowest best round. A
+ * candidate ties the leader when its best round is no slower than
+ * the leader's second-best round, so one preempted round cannot
+ * widen the tie. The first tied candidate in race order wins, and
+ * every tied candidate is charged the leader's best round, so the
+ * chain DP and later plan-cache hits over the recorded table make
+ * the same choice.
+ */
+RaceVerdict
+settleRace(const std::vector<std::vector<std::uint64_t>> &roundsNs);
 
 /** An immutable, concurrently-executable model instance. */
 class Session
@@ -327,6 +374,7 @@ class Session
         const char *planSource = "default";
         std::uint64_t planProbeNs = 0;
         obs::PerfCounters planCounters;
+        std::optional<double> planMarginPct;
     };
 
     NetworkDesc net_;
@@ -334,9 +382,6 @@ class Session
     Shape inputShape_;
     Shape outputShape_;
     std::vector<Layer> layers_;
-    /// Private plan cache backing SessionConfig::planCachePath when
-    /// the config supplies a path but no shared cache instance.
-    std::unique_ptr<PlanCache> ownedCache_;
     /// Whether this session enabled tracing (cfg_.tracePath set) and
     /// owes a flush at destruction.
     bool traceArmed_ = false;

@@ -47,12 +47,14 @@ const char *engineKindName(EngineKind k);
 enum class ConvEngine
 {
     Im2col,       ///< im2col + matmul baseline (any kernel/stride)
-    WinogradFp32, ///< FP32 Winograd, 3x3 stride-1 only
+    WinogradFp32, ///< FP Winograd computed in fp64 (the name
+                  ///< predates that), 3x3 stride-1 only
     WinogradInt8, ///< int8 tap-wise quantized Winograd (Section III)
     Im2colInt8,   ///< int8 im2col on the widening GEMM micro-kernel;
                   ///< the quantized path's fallback for layers the
                   ///< Winograd engines cannot execute
-    WinogradBlocked, ///< FP32 Winograd on the NCHWc8 blocked
+    WinogradBlocked, ///< FP Winograd, computed in fp64, on the
+                     ///< NCHWc8 blocked
                      ///< activation layout (src/layout/): unit-stride
                      ///< tile gathers and c-block SIMD lanes; the
                      ///< session keeps its activations blocked

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -51,14 +52,16 @@ makeInput(const Shape &shape, std::uint64_t seed)
 /** Session + InferenceServer + NetServer on an ephemeral port. */
 struct Loopback
 {
-    std::shared_ptr<const Session> session = makeSession();
+    std::shared_ptr<const Session> session;
     InferenceServer server;
     net::NetServer front;
     std::uint16_t port = 0;
 
     explicit Loopback(RuntimeConfig rcfg = {},
-                      net::NetConfig ncfg = {})
-        : server(session, rcfg), front(server, ncfg)
+                      net::NetConfig ncfg = {},
+                      std::shared_ptr<const Session> s = makeSession())
+        : session(std::move(s)), server(session, rcfg),
+          front(server, ncfg)
     {
         port = front.start();
     }
@@ -229,6 +232,8 @@ TEST(NetIntrospect, StatuszReportsPlansAndHealthzFlips)
     EXPECT_NE(statusz.find("\"stem\""), std::string::npos);
     EXPECT_NE(statusz.find("\"plan_source\": \"default\""),
               std::string::npos);
+    EXPECT_NE(statusz.find("\"plan_margin_pct\": null"),
+              std::string::npos);
     EXPECT_NE(statusz.find("\"winograd-fp32\""), std::string::npos);
     EXPECT_GE(numberAfter(statusz, "\"completed\": "), 1u);
 
@@ -242,6 +247,40 @@ TEST(NetIntrospect, StatuszReportsPlansAndHealthzFlips)
         net::httpGet("127.0.0.1", lb.port, "/nope");
     EXPECT_NE(missing.find("404"), std::string::npos);
     EXPECT_NE(missing.find("/statusz"), std::string::npos);
+}
+
+TEST(NetIntrospect, StatuszReportsPlanMargins)
+{
+    // autoSelect races stem and the two body layers (body.1 adopts
+    // body.0's race from the build's memo); the strided and 1x1
+    // layers never race. Raced layers carry a numeric margin, the
+    // rest null.
+    SessionConfig scfg;
+    scfg.autoSelect = true;
+    scfg.autoSelectBatch = 2;
+    Loopback lb({}, {},
+                std::make_shared<const Session>(microServeNet(10, 6),
+                                                scfg));
+    const std::string statusz =
+        net::httpGet("127.0.0.1", lb.port, "/statusz");
+    const auto marginOf = [&](const std::string &layer) {
+        const std::size_t at =
+            statusz.find("{\"name\": \"" + layer + "\"");
+        EXPECT_NE(at, std::string::npos) << layer;
+        const std::string key = "\"plan_margin_pct\": ";
+        const std::size_t m = statusz.find(key, at);
+        EXPECT_NE(m, std::string::npos) << layer;
+        return statusz.substr(m + key.size(), 4);
+    };
+    for (const char *raced : {"stem", "body.0", "body.1"}) {
+        const std::string v = marginOf(raced);
+        EXPECT_TRUE(v[0] == '-' || (v[0] >= '0' && v[0] <= '9'))
+            << raced << " margin reads " << v;
+    }
+    EXPECT_EQ(marginOf("down"), "null");
+    EXPECT_EQ(marginOf("head"), "null");
+    EXPECT_NE(statusz.find("\"plan_source\": \"memo\""),
+              std::string::npos);
 }
 
 TEST(NetIntrospect, TracezRecordsRequestTimelines)

@@ -18,6 +18,7 @@
 #include "models/zoo.hh"
 #include "runtime/server.hh"
 #include "tensor/batch.hh"
+#include "winograd/bitwidth.hh"
 #include "winograd/tiled.hh"
 
 namespace twq
@@ -330,6 +331,85 @@ TEST(PlanCacheTest, ForeignEngineEntriesAreIgnoredAndReprobed)
     EXPECT_NE(dec.engine, ConvEngine::WinogradInt8);
 }
 
+/** A winner-only plan-cache entry (no candidate table). */
+PlanCache::Decision
+winnerOnly(ConvEngine engine, WinoVariant variant)
+{
+    PlanCache::Decision d;
+    d.engine = engine;
+    d.variant = variant;
+    return d;
+}
+
+TEST(PlanCacheTest, OutOfEnvelopeInt8EntriesAreIgnoredAndReprobed)
+{
+    // A quantized plan the bitwidth model never admits (int8 Winograd
+    // on F6, whose transforms are not integer) must not reach
+    // prepare(): the cached winner is ignored and the layer re-probed,
+    // and the same guard drops such rows from a cached candidate
+    // table so the chain DP cannot re-prepare them either.
+    const NetworkDesc net = microServeNet(8, 4);
+    SessionConfig cfg;
+    cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    const auto eligible = [&](const Session &s, std::size_t i) {
+        const ConvEngine e = s.layerEngine(i);
+        if (e == ConvEngine::Im2colInt8)
+            return true;
+        return (e == ConvEngine::WinogradInt8 ||
+                e == ConvEngine::WinogradBlockedInt8) &&
+               winoInt8Eligible(s.layerVariant(i),
+                                cfg.quant.winogradBits,
+                                s.layerDesc(i).cin);
+    };
+
+    PlanCache cache;
+    cfg.planCache = &cache;
+    for (const ConvLayerDesc &d : net.expandedLayers())
+        if (d.winogradEligible())
+            cache.store(
+                PlanCache::layerKey(d, cfg.autoSelectBatch, true),
+                winnerOnly(ConvEngine::WinogradBlockedInt8,
+                           WinoVariant::F6));
+    const Session reprobed(net, cfg);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(eligible(reprobed, i))
+            << "out-of-envelope plan leaked into layer " << i;
+    // stem and the first body layer re-probe their two keys; the
+    // second body layer then hits the fresh entry.
+    EXPECT_STREQ(reprobed.layerPlan(0).source, "probed");
+    EXPECT_STREQ(reprobed.layerPlan(1).source, "probed");
+    EXPECT_STREQ(reprobed.layerPlan(2).source, "cache");
+    PlanCache::Decision dec;
+    ASSERT_TRUE(cache.lookup(
+        PlanCache::layerKey(net.expandedLayers()[0],
+                            cfg.autoSelectBatch, true),
+        &dec));
+    EXPECT_NE(dec.variant, WinoVariant::F6);
+
+    // A valid winner whose table lists the same F6 row as the
+    // cheapest candidate: the row is filtered, the layer keeps the
+    // cached winner, and nothing re-prepares F6.
+    PlanCache tables;
+    cfg.planCache = &tables;
+    cfg.chainDp = true;
+    PlanCache::Decision d;
+    d.engine = ConvEngine::Im2colInt8;
+    d.variant = WinoVariant::F2;
+    d.table = {{ConvEngine::WinogradBlockedInt8, WinoVariant::F6, 1},
+               {ConvEngine::Im2colInt8, WinoVariant::F2, 1000}};
+    for (const ConvLayerDesc &l : net.expandedLayers())
+        if (l.winogradEligible())
+            tables.store(
+                PlanCache::layerKey(l, cfg.autoSelectBatch, true), d);
+    const Session filtered(net, cfg);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(filtered.layerEngine(i), ConvEngine::Im2colInt8);
+        EXPECT_STREQ(filtered.layerPlan(i).source, "cache");
+    }
+}
+
 TEST(PlanCacheTest, SerializeRoundTripsAndPersistsToDisk)
 {
     PlanCache cache;
@@ -554,6 +634,291 @@ TEST(ChainDp, SeamCostsSteerAwayFromIsolatedBlockedLayers)
         EXPECT_STREQ(planned.layerPlan(i).source, "cache")
             << "DP re-decision must not re-measure";
     }
+}
+
+/** Expects plan source `first` on layer 0 of `s`, `rest` after it. */
+void
+expectSources(const Session &s, const char *first, const char *rest)
+{
+    for (std::size_t i = 0; i < s.layerCount(); ++i)
+        EXPECT_STREQ(s.layerPlan(i).source, i == 0 ? first : rest)
+            << "layer " << i;
+}
+
+TEST(PlanMemo, IdenticalLayersRaceOnce)
+{
+    // Four identical layers share one plan key: a cacheless build
+    // races the first and adopts its outcome for the other three.
+    const NetworkDesc net = convChain(4);
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    cfg.chainDp = false;
+    auto &probes = obs::Registry::global().counter("plan.probes");
+    auto &memoHits =
+        obs::Registry::global().counter("autoselect.memo_hit");
+    auto &cacheHits =
+        obs::Registry::global().counter("autoselect.cache_hit");
+    const std::uint64_t p0 = probes.value();
+    const std::uint64_t m0 = memoHits.value();
+    const std::uint64_t c0 = cacheHits.value();
+    const Session session(net, cfg);
+    if constexpr (obs::kEnabled) {
+        EXPECT_EQ(probes.value() - p0, 1u);
+        EXPECT_EQ(memoHits.value() - m0, 3u);
+        EXPECT_EQ(cacheHits.value(), c0);
+    }
+    expectSources(session, "probed", "memo");
+    for (std::size_t i = 1; i < session.layerCount(); ++i) {
+        EXPECT_EQ(session.layerEngine(i), session.layerEngine(0));
+        EXPECT_EQ(session.layerVariant(i), session.layerVariant(0));
+        // The memo hit carries the race's provenance and table.
+        EXPECT_EQ(session.layerPlan(i).probeNs,
+                  session.layerPlan(0).probeNs);
+        EXPECT_EQ(session.layerPlan(i).marginPct,
+                  session.layerPlan(0).marginPct);
+    }
+
+    SessionConfig refCfg;
+    refCfg.defaultEngine = ConvEngine::Im2col;
+    const Session reference(net, refCfg);
+    const TensorD input = randomInput(session.inputShape(), 4321);
+    const TensorD y = session.run(input);
+    const TensorD ref = reference.run(input);
+    ASSERT_EQ(y.shape(), ref.shape());
+    for (std::size_t i = 0; i < y.numel(); ++i)
+        EXPECT_NEAR(y[i], ref[i], 1e-6);
+
+    // Under the chain DP the memoized tables still produce a correct
+    // chain.
+    cfg.chainDp = true;
+    const Session dp(net, cfg);
+    const TensorD yd = dp.run(input);
+    for (std::size_t i = 0; i < yd.numel(); ++i)
+        EXPECT_NEAR(yd[i], ref[i], 1e-6);
+}
+
+TEST(PlanMemo, MemoDiesWithTheBuild)
+{
+    // The memo is build-local: a second cacheless build races again.
+    const NetworkDesc net = convChain(2);
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    auto &probes = obs::Registry::global().counter("plan.probes");
+    for (int build = 0; build < 2; ++build) {
+        const std::uint64_t before = probes.value();
+        const Session session(net, cfg);
+        if constexpr (obs::kEnabled) {
+            EXPECT_EQ(probes.value() - before, 1u) << "build " << build;
+        }
+        expectSources(session, "probed", "memo");
+    }
+}
+
+TEST(PlanMemo, ConfiguredCacheStoresEveryKeyAndSaves)
+{
+    // A configured cache keeps its role: it records the key, later
+    // identical layers hit it as "cache" (never "memo"), and a
+    // planCachePath build persists it for the next process.
+    const NetworkDesc net = convChain(3);
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    PlanCache cache;
+    cfg.planCache = &cache;
+    auto &memoHits =
+        obs::Registry::global().counter("autoselect.memo_hit");
+    const std::uint64_t m0 = memoHits.value();
+    const Session shared(net, cfg);
+    EXPECT_EQ(cache.size(), 1u);
+    PlanCache::Decision dec;
+    EXPECT_TRUE(cache.lookup(
+        PlanCache::layerKey(net.expandedLayers()[0],
+                            cfg.autoSelectBatch),
+        &dec));
+    expectSources(shared, "probed", "cache");
+    EXPECT_EQ(memoHits.value(), m0);
+
+    const std::string path =
+        ::testing::TempDir() + "/twq_plan_memo_test.txt";
+    std::remove(path.c_str());
+    cfg.planCache = nullptr;
+    cfg.planCachePath = path;
+    const Session saving(net, cfg);
+    expectSources(saving, "probed", "cache");
+    PlanCache loaded;
+    ASSERT_TRUE(loaded.loadFile(path));
+    EXPECT_EQ(loaded.size(), 1u);
+
+    auto &probes = obs::Registry::global().counter("plan.probes");
+    const std::uint64_t before = probes.value();
+    const Session reloaded(net, cfg);
+    if constexpr (obs::kEnabled) {
+        EXPECT_EQ(probes.value(), before);
+    }
+    expectSources(reloaded, "cache", "cache");
+    std::remove(path.c_str());
+}
+
+TEST(SettleRace, ClearWinnerWinsWhereverItRaces)
+{
+    // Nobody comes within the leader's second-best round: the leader
+    // wins from any position and every row keeps its own best round.
+    const std::vector<std::uint64_t> fast = {100, 102, 101};
+    const std::vector<std::uint64_t> slowA = {150, 140, 160};
+    const std::vector<std::uint64_t> slowB = {300, 290, 310};
+    for (std::ptrdiff_t at = 0; at < 3; ++at) {
+        std::vector<std::vector<std::uint64_t>> rounds = {slowA, slowB};
+        rounds.insert(rounds.begin() + at, fast);
+        std::vector<std::uint64_t> charged = {140, 290};
+        charged.insert(charged.begin() + at, 100);
+        const RaceVerdict v = settleRace(rounds);
+        EXPECT_EQ(v.pick, static_cast<std::size_t>(at));
+        EXPECT_EQ(v.chargedNs, charged);
+    }
+}
+
+TEST(SettleRace, NearTieGoesToTheFirstInRaceOrder)
+{
+    // The leader's best is 100 and its second-best 104; a candidate
+    // whose best round is 103 ties it.
+    const std::vector<std::uint64_t> leader = {100, 104, 130};
+    const std::vector<std::uint64_t> near = {103, 110, 112};
+    const std::vector<std::uint64_t> far = {150, 155, 151};
+
+    RaceVerdict v = settleRace({near, far, leader});
+    EXPECT_EQ(v.pick, 0u);
+    EXPECT_EQ(v.chargedNs, (std::vector<std::uint64_t>{100, 150, 100}));
+
+    // Raced after the leader, the same candidate loses to it.
+    v = settleRace({leader, far, near});
+    EXPECT_EQ(v.pick, 0u);
+    EXPECT_EQ(v.chargedNs, (std::vector<std::uint64_t>{100, 150, 100}));
+
+    // Exactly at the bar still ties; one nanosecond over does not.
+    v = settleRace({{104, 120, 120}, leader});
+    EXPECT_EQ(v.pick, 0u);
+    v = settleRace({{105, 120, 120}, leader});
+    EXPECT_EQ(v.pick, 1u);
+    EXPECT_EQ(v.chargedNs, (std::vector<std::uint64_t>{105, 100}));
+}
+
+TEST(SettleRace, OneSlowRoundDoesNotWidenTheTie)
+{
+    // A preempted round on the leader (500) is ignored: the bar is
+    // its second-best round (101), so 102 does not tie.
+    const std::vector<std::uint64_t> leader = {100, 500, 101};
+    const std::vector<std::uint64_t> close = {102, 103, 104};
+    RaceVerdict v = settleRace({close, leader});
+    EXPECT_EQ(v.pick, 1u);
+    EXPECT_EQ(v.chargedNs, (std::vector<std::uint64_t>{102, 100}));
+
+    // Two slow rounds do widen it: the leader's own spread is then
+    // real, and the earlier candidate takes the tie.
+    v = settleRace({close, {100, 500, 400}});
+    EXPECT_EQ(v.pick, 0u);
+    EXPECT_EQ(v.chargedNs, (std::vector<std::uint64_t>{100, 100}));
+}
+
+/** One FP Winograd-eligible 8-channel 3x3 layer at 8x8. */
+NetworkDesc
+oneLayerNet()
+{
+    ConvLayerDesc d;
+    d.name = "one";
+    d.cin = d.cout = 8;
+    d.height = d.width = 8;
+    NetworkDesc n;
+    n.name = "OneLayer";
+    n.inputRes = 8;
+    n.layers.push_back(d);
+    return n;
+}
+
+TEST(SettleRace, TiedRowsChargeTheLeaderSoTheChainDpAgrees)
+{
+    // NCHW winograd races first and ties the blocked leader. The
+    // table records both at the leader's time, so the chain DP (with
+    // free seams here, so node cost alone decides) keeps the race's
+    // pick; at their own times it would flip to the leader.
+    const RaceVerdict v = settleRace({{103, 110, 112}, {100, 104, 130}});
+    ASSERT_EQ(v.pick, 0u);
+    const NetworkDesc net = oneLayerNet();
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    cfg.chainDp = true;
+    const auto planWith = [&](std::uint64_t fp32Ns,
+                              std::uint64_t blockedNs) {
+        PlanCache cache;
+        PlanCache::Decision d;
+        d.engine = ConvEngine::WinogradFp32;
+        d.variant = WinoVariant::F2;
+        d.probeNs = 103;
+        d.table = {{ConvEngine::WinogradFp32, WinoVariant::F2, fp32Ns},
+                   {ConvEngine::WinogradBlocked, WinoVariant::F2,
+                    blockedNs}};
+        cache.store(PlanCache::layerKey(net.layers[0],
+                                        cfg.autoSelectBatch),
+                    d);
+        SessionConfig cached = cfg;
+        cached.planCache = &cache;
+        const Session s(net, cached);
+        return s.layerPlan(0);
+    };
+    const LayerPlanInfo settled =
+        planWith(v.chargedNs[0], v.chargedNs[1]);
+    EXPECT_EQ(settled.engine, ConvEngine::WinogradFp32);
+    ASSERT_TRUE(settled.marginPct.has_value());
+    EXPECT_EQ(*settled.marginPct, 0.0);
+    EXPECT_EQ(settled.probeNs, 103u) << "probe_ns is the pick's own";
+
+    const LayerPlanInfo own = planWith(103, 100);
+    EXPECT_EQ(own.engine, ConvEngine::WinogradBlocked);
+}
+
+TEST(PlanMargin, ComesFromTheRecordedTable)
+{
+    // Synthetic tables through a cache, no timing: the margin is
+    // 100 x (fastest other - pick) / pick over the recorded table.
+    const NetworkDesc net = oneLayerNet();
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    cfg.chainDp = false;
+    PlanCache cache;
+    cfg.planCache = &cache;
+    PlanCache::Decision d;
+    d.engine = ConvEngine::WinogradBlocked;
+    d.variant = WinoVariant::F2;
+    d.inToBlockedNs = d.inToNchwNs = 30000;
+    d.outToBlockedNs = d.outToNchwNs = 30000;
+    d.table = {{ConvEngine::WinogradFp32, WinoVariant::F2, 100000},
+               {ConvEngine::WinogradBlocked, WinoVariant::F2, 90000},
+               {ConvEngine::Im2col, WinoVariant::F2, 400000}};
+    const std::string key =
+        PlanCache::layerKey(net.layers[0], cfg.autoSelectBatch);
+    cache.store(key, d);
+    const Session argmin(net, cfg);
+    ASSERT_TRUE(argmin.layerPlan(0).marginPct.has_value());
+    EXPECT_NEAR(*argmin.layerPlan(0).marginPct, 100.0 * 10 / 90, 1e-9);
+
+    // The chain DP pays 10us of node time to save 60us of seams on
+    // this isolated layer: a negative margin.
+    cfg.chainDp = true;
+    const Session dp(net, cfg);
+    EXPECT_EQ(dp.layerEngine(0), ConvEngine::WinogradFp32);
+    ASSERT_TRUE(dp.layerPlan(0).marginPct.has_value());
+    EXPECT_NEAR(*dp.layerPlan(0).marginPct, -10.0, 1e-9);
+
+    // Winner-only entries and layers that never raced have none.
+    cache.store(key,
+                winnerOnly(ConvEngine::WinogradBlocked, WinoVariant::F2));
+    const Session winnerOnly(net, cfg);
+    EXPECT_FALSE(winnerOnly.layerPlan(0).marginPct.has_value());
+    const Session pinned(net, SessionConfig{});
+    EXPECT_FALSE(pinned.layerPlan(0).marginPct.has_value());
 }
 
 TEST(PShardedTapGemm, GemmColsIsBitIdenticalToWholeGemm)
