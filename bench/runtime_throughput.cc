@@ -528,27 +528,24 @@ requiredScaling(std::size_t hwCores)
 }
 
 /**
- * CI smoke check. Thirteen structural gates:
+ * CI smoke check. Ten structural gates, numbered as they have been
+ * since gates 4, 7 and 13 left with the NCHW Winograd engines and the
+ * chain-aware layout DP they compared against:
  *
  *  1. the blocked GEMM core must beat the naive i-k-j loop it
  *     replaced on a representative per-tap shape,
- *  2. winograd-fp32 must beat im2col on a wide (64-channel) eligible
- *     layer, where the Winograd arithmetic advantage materializes,
+ *  2. winograd-blocked must beat im2col on a wide (64-channel)
+ *     eligible layer, where the Winograd arithmetic advantage
+ *     materializes,
  *  3. the NCHWc8 tile gather must not lose to the NCHW gather it
  *     bypasses (the unit-stride claim of the layout subsystem),
- *  4. end-to-end blocked-layout winograd must not lose to NCHW
- *     winograd on the wide layer (steady-state, activations already
- *     blocked — the regime layout propagation creates),
  *  5. autoSelect must actually pick the blocked engine on that layer,
  *  6. the dispatched int8 -> int32 widening micro-kernel must not
  *     lose to the generic blocked widening kernel it replaced on a
  *     representative per-tap GEMM shape (equal on hosts where the
  *     dispatch resolves to the generic scalar kernel),
- *  7. end-to-end blocked int8 winograd must not lose to NCHW
- *     int-winograd on the wide layer (the quantized counterpart of
- *     gate 4), and
  *  8. autoSelect must pick the blocked int8 engine on the wide
- *     quantized layer (racing NCHW int-winograd and im2col-int8),
+ *     quantized layer (racing its F2/F4 variants and im2col-int8),
  *  9. open-loop throughput through the epoll front door must scale
  *     from 1 to 8 workers by at least requiredScaling(hw) — 4x on
  *     hosts with >= 8 cores, degrading with core count down to a
@@ -558,19 +555,13 @@ requiredScaling(std::size_t hwCores)
  *     unloaded p99 — shedding buys bounded latency, not silence,
  * 11. the fused bias+ReLU epilogue must not lose to the plain blocked
  *     conv followed by a separate bias/ReLU pass on the wide layer —
- *     the deleted memory pass must actually buy time,
+ *     the deleted memory pass must actually buy time, and
  * 12. the binary16-storage blocked engine must hold >= 0.9x the fp32
  *     blocked session's end-to-end throughput on a three-deep wide-64
  *     chain while its output stays within 40 half-ULPs of the fp32
  *     output range (on soft-half hosts the throughput requirement
  *     degrades to a no-collapse bound; the accuracy bound always
- *     holds), and
- * 13. ("wide-64-dp") chain-aware layout planning (SessionConfig::
- *     chainDp) must not lose to the per-layer argmin plan it replaces
- *     on that three-deep wide-64 chain at batch 8: both sessions
- *     autoSelect, and the DP session's best-of-7 run must stay within
- *     1.10x of the argmin session's. When both plans come out equal,
- *     the gate times identical plans and reads pure noise.
+ *     holds).
  *
  * The timed gates carry a 10% slack so a scheduling blip on a shared
  * CI runner cannot flip a structural claim into a flake; an actual
@@ -588,9 +579,9 @@ runSmoke()
     const NetworkDesc net = microServeNet(16, 8);
     const EngineRegistry &registry = EngineRegistry::instance();
     const auto im2col = registry.get(ConvEngine::Im2col);
-    const auto wino = registry.get(ConvEngine::WinogradFp32);
+    const auto wino = registry.get(ConvEngine::WinogradBlocked);
 
-    std::printf("=== Smoke: per-layer winograd-fp32 vs im2col "
+    std::printf("=== Smoke: per-layer winograd-blocked vs im2col "
                 "(batch 8, best of 5; informational — autoSelect "
                 "picks per layer) ===\n");
     std::printf("%-12s %12s %12s %8s\n", "layer", "im2col us",
@@ -613,18 +604,20 @@ runSmoke()
         TensorD probe({8, d.cin, d.height, d.width});
         Rng prng(seed++);
         prng.fillNormal(probe.storage(), 0.0, 1.0);
+        TensorD probeBlocked(blockedShape(probe.shape()));
+        nchwToBlocked(probe, probeBlocked);
         ScratchArena arena;
         const double tIm =
             timeBackendRun(*im2col, *prepIm, probe, arena, 7);
         const double tWino =
-            timeBackendRun(*wino, *prepWino, probe, arena, 7);
+            timeBackendRun(*wino, *prepWino, probeBlocked, arena, 7);
         std::printf("%-12s %12.1f %12.1f %7.2fx\n", d.name.c_str(),
                     tIm * 1e6, tWino * 1e6, tIm / tWino);
     }
 
     // Gate 2: on a wide eligible layer the Winograd path must win.
-    // Gates 3-5: on the same layer, the blocked layout must hold its
-    // structural claims (gather, end-to-end, autoSelect pick).
+    // Gates 3 and 5: on the same layer, the blocked layout must hold
+    // its gather and autoSelect claims.
     {
         ConvLayerDesc d;
         d.name = "wide-64";
@@ -645,11 +638,13 @@ runSmoke()
         TensorD probe({8, d.cin, d.height, d.width});
         Rng prng(seed++);
         prng.fillNormal(probe.storage(), 0.0, 1.0);
+        TensorD probeBlocked(blockedShape(probe.shape()));
+        nchwToBlocked(probe, probeBlocked);
         ScratchArena arena;
         const double tIm =
             timeBackendRun(*im2col, *prepIm, probe, arena, 7);
         const double tWino =
-            timeBackendRun(*wino, *prepWino, probe, arena, 7);
+            timeBackendRun(*wino, *prepWino, probeBlocked, arena, 7);
         // 10% slack so a scheduling blip on a shared CI runner cannot
         // flip the structural claim into a flake.
         const bool ok = tWino < 1.10 * tIm;
@@ -657,9 +652,6 @@ runSmoke()
         std::printf("%-12s %12.1f %12.1f %7.2fx%s\n", d.name.c_str(),
                     tIm * 1e6, tWino * 1e6, tIm / tWino,
                     ok ? "" : "  << FAIL: winograd slower on wide");
-
-        TensorD probeBlocked(blockedShape(probe.shape()));
-        nchwToBlocked(probe, probeBlocked);
 
         // Gate 3: the NCHWc8 gather (8-wide unit-stride block moves)
         // against the strided NCHW gather it replaces.
@@ -697,20 +689,6 @@ runSmoke()
                             : "  << FAIL: blocked gather slower");
         }
 
-        // Gate 4: end-to-end blocked winograd vs NCHW winograd, both
-        // consuming their native steady-state input layout.
-        const auto blocked =
-            registry.get(ConvEngine::WinogradBlocked);
-        const auto prepBlocked = blocked->prepare(d, weights, build);
-        const double tBlocked = timeBackendRun(
-            *blocked, *prepBlocked, probeBlocked, arena, 7);
-        const bool bok = tBlocked < 1.10 * tWino;
-        failures += !bok;
-        std::printf("%-12s %12.1f %12.1f %7.2fx%s\n", "wide-64-c8",
-                    tWino * 1e6, tBlocked * 1e6, tWino / tBlocked,
-                    bok ? ""
-                        : "  << FAIL: blocked wino slower than NCHW");
-
         // Gate 5: the measured policy must land on the blocked
         // engine for this layer.
         NetworkDesc wideNet;
@@ -719,10 +697,6 @@ runSmoke()
         wideNet.layers.push_back(d);
         SessionConfig scfg;
         scfg.autoSelect = true;
-        // This gate asserts the LOCAL race winner; on an isolated
-        // single-layer net the chain DP rightly charges the blocked
-        // pick an ingress+egress seam, which is gate 13's subject.
-        scfg.chainDp = false;
         const Session sel(wideNet, scfg);
         const bool sok =
             sel.layerEngine(0) == ConvEngine::WinogradBlocked;
@@ -732,46 +706,13 @@ runSmoke()
                     winoName(sel.layerVariant(0)),
                     sok ? "" : "  << FAIL: blocked path not selected");
 
-        // Gate 7: the quantized counterpart of gate 4 — blocked int8
-        // winograd against NCHW int-winograd, both on their native
-        // steady-state input layout, both with the same calibration.
-        {
-            TensorD calT({2, d.cin, d.height, d.width});
-            Rng calRng(seed++);
-            calRng.fillNormal(calT.storage(), 0.0, 1.0);
-            std::vector<TensorD> cal{calT};
-            LayerBuild qbuild = build;
-            qbuild.calibration = &cal;
-            const auto intWino =
-                registry.get(ConvEngine::WinogradInt8);
-            const auto intBlocked =
-                registry.get(ConvEngine::WinogradBlockedInt8);
-            const auto prepInt =
-                intWino->prepare(d, weights, qbuild);
-            const auto prepIntB =
-                intBlocked->prepare(d, weights, qbuild);
-            const double tInt =
-                timeBackendRun(*intWino, *prepInt, probe, arena, 7);
-            const double tIntB = timeBackendRun(
-                *intBlocked, *prepIntB, probeBlocked, arena, 7);
-            const bool qok = tIntB < 1.10 * tInt;
-            failures += !qok;
-            std::printf("%-12s %12.1f %12.1f %7.2fx%s\n",
-                        "wide-64-i8c8", tInt * 1e6, tIntB * 1e6,
-                        tInt / tIntB,
-                        qok ? ""
-                            : "  << FAIL: blocked int8 slower than "
-                              "NCHW int8");
-        }
-
         // Gate 8: the measured quantized policy must land on the
-        // blocked int8 engine (the race includes NCHW int-winograd
-        // F2/F4 and im2col-int8).
+        // blocked int8 engine (the race includes its F2/F4 variants
+        // and im2col-int8).
         {
             SessionConfig qcfg;
-            qcfg.defaultEngine = ConvEngine::WinogradInt8;
+            qcfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
             qcfg.autoSelect = true;
-            qcfg.chainDp = false; // local winner, as in gate 5
             const Session qsel(wideNet, qcfg);
             const bool qsok = qsel.layerEngine(0) ==
                               ConvEngine::WinogradBlockedInt8;
@@ -795,12 +736,11 @@ runSmoke()
             Rng brng(seed++);
             brng.fillNormal(fbuild.epilogue.bias, 0.0, 0.1);
             fbuild.epilogue.relu = true;
-            const auto prepFused =
-                blocked->prepare(d, weights, fbuild);
+            const auto prepFused = wino->prepare(d, weights, fbuild);
             const double tFused = timeBackendRun(
-                *blocked, *prepFused, probeBlocked, arena, 7);
-            TensorD outP(blocked->outputShape(*prepBlocked,
-                                              probeBlocked.shape()));
+                *wino, *prepFused, probeBlocked, arena, 7);
+            TensorD outP(wino->outputShape(*prepWino,
+                                           probeBlocked.shape()));
             const auto bestOf = [&](auto &&fn) {
                 fn(); // warmup
                 double best = 1e30;
@@ -817,7 +757,7 @@ runSmoke()
             };
             const std::vector<double> &bias = fbuild.epilogue.bias;
             const double tSep = bestOf([&] {
-                blocked->run(*prepBlocked, probeBlocked, arena, outP);
+                wino->run(*prepWino, probeBlocked, arena, outP);
                 double *p = outP.data();
                 const std::size_t hw =
                     outP.shape()[2] * outP.shape()[3];
@@ -910,65 +850,6 @@ runSmoke()
                     : (aok ? "  << FAIL: fp16 throughput below bound"
                            : "  << FAIL: fp16 accuracy gate"));
         }
-
-        // Gate 13: chain-aware layout planning must never lose to
-        // the per-layer argmin it replaces — on a three-deep wide-64
-        // chain the DP sees the same measured candidate tables plus
-        // the seam conversion costs, so its plan is the argmin plan
-        // or a strictly cheaper one. 10% slack absorbs probe noise
-        // (both builds race live and may measure different rounds).
-        {
-            NetworkDesc deep;
-            deep.name = "Wide64x3";
-            deep.inputRes = d.height;
-            for (int i = 0; i < 3; ++i) {
-                ConvLayerDesc l = d;
-                l.name = "wide." + std::to_string(i);
-                deep.layers.push_back(l);
-            }
-            SessionConfig acfg;
-            acfg.autoSelect = true;
-            acfg.chainDp = false;
-            const Session argmin(deep, acfg);
-            SessionConfig dcfg;
-            dcfg.autoSelect = true;
-            dcfg.chainDp = true;
-            const Session dp(deep, dcfg);
-            TensorD in({8, d.cin, d.height, d.width});
-            Rng irng(seed++);
-            irng.fillNormal(in.storage(), 0.0, 1.0);
-            const auto bestOf = [&](const Session &s,
-                                    ScratchArena &a) {
-                s.run(in, a); // warmup
-                double best = 1e30;
-                for (int i = 0; i < 7; ++i) {
-                    const auto t0 = Clock::now();
-                    s.run(in, a);
-                    best = std::min(
-                        best,
-                        std::chrono::duration<double>(Clock::now() -
-                                                      t0)
-                            .count());
-                }
-                return best;
-            };
-            ScratchArena aa, ad;
-            const double tArgmin = bestOf(argmin, aa);
-            const double tDp = bestOf(dp, ad);
-            const bool cok = tDp < 1.10 * tArgmin;
-            failures += !cok;
-            std::printf("%-12s %12.1f %12.1f %7.2fx  (%s/%s -> "
-                        "%s/%s)%s\n",
-                        "wide-64-dp", tArgmin * 1e6, tDp * 1e6,
-                        tArgmin / tDp,
-                        convEngineName(argmin.layerEngine(0)),
-                        winoName(argmin.layerVariant(0)),
-                        convEngineName(dp.layerEngine(0)),
-                        winoName(dp.layerVariant(0)),
-                        cok ? ""
-                            : "  << FAIL: chain DP lost to per-layer "
-                              "argmin");
-        }
     }
 
     // Blocked-GEMM gate: on a representative [Cout, Cin] x [Cin, P]
@@ -1045,7 +926,7 @@ runSmoke()
     // through real loopback TCP sockets.
     {
         SessionConfig scfg;
-        scfg.defaultEngine = ConvEngine::WinogradFp32;
+        scfg.defaultEngine = ConvEngine::WinogradBlocked;
         auto session = std::make_shared<const Session>(net, scfg);
         const std::size_t hw = std::max<std::size_t>(
             1, std::thread::hardware_concurrency());
@@ -1055,9 +936,9 @@ runSmoke()
         // ratio adapts to the host's core count — the 4x target
         // presumes 8 usable cores.
         const Result t1 = runNetOpen(
-            session, ConvEngine::WinogradFp32, "smoke-net-t1", 1, 192);
+            session, ConvEngine::WinogradBlocked, "smoke-net-t1", 1, 192);
         const Result t8 = runNetOpen(
-            session, ConvEngine::WinogradFp32, "smoke-net-t8", 8, 192);
+            session, ConvEngine::WinogradBlocked, "smoke-net-t8", 8, 192);
         const double need = requiredScaling(hw);
         const double ratio = t8.reqPerSec / t1.reqPerSec;
         const bool nok = ratio >= need;
@@ -1080,14 +961,14 @@ runSmoke()
         // network matrix; the gate trades offered-load margin for
         // noise immunity).
         SessionConfig hcfg;
-        hcfg.defaultEngine = ConvEngine::WinogradFp32;
+        hcfg.defaultEngine = ConvEngine::WinogradBlocked;
         auto heavy = std::make_shared<const Session>(
             microServeNet(32, 16), hcfg);
         const Result unloaded =
-            runNetClosed(heavy, ConvEngine::WinogradFp32,
+            runNetClosed(heavy, ConvEngine::WinogradBlocked,
                          "smoke-net-unloaded", hw, 1, 1, 64, 0);
         const Result overload =
-            runNetClosed(heavy, ConvEngine::WinogradFp32,
+            runNetClosed(heavy, ConvEngine::WinogradBlocked,
                          "smoke-net-overload", hw, 1, 4, 384, 2);
         const bool pok = overload.requests >= 1 &&
                          overload.shed >= 1 &&
@@ -1106,7 +987,7 @@ runSmoke()
 
     // Whole-net bulk context (includes the im2col-only layers).
     for (ConvEngine engine :
-         {ConvEngine::Im2col, ConvEngine::WinogradFp32}) {
+         {ConvEngine::Im2col, ConvEngine::WinogradBlocked}) {
         SessionConfig scfg;
         scfg.defaultEngine = engine;
         auto session =
@@ -1118,11 +999,10 @@ runSmoke()
     }
     std::printf(failures == 0
                     ? "\nSMOKE PASS: blocked GEMM beats naive, "
-                      "winograd-fp32 beats im2col on the wide layer, "
-                      "the NCHWc8 layout holds its gather / "
-                      "end-to-end / autoSelect claims, the int8 "
-                      "path holds its widening-kernel / blocked "
-                      "end-to-end / autoSelect claims, the fused "
+                      "winograd-blocked beats im2col on the wide "
+                      "layer, the NCHWc8 layout holds its gather / "
+                      "autoSelect claims, the int8 path holds its "
+                      "widening-kernel / autoSelect claims, the fused "
                       "epilogue beats the separate pass, binary16 "
                       "storage holds throughput inside the accuracy "
                       "gate, and the net front door scales with "
@@ -1135,13 +1015,12 @@ runSmoke()
 
 /**
  * Single-batch large-layer latency: one batched input through one
- * winograd-fp32 layer, p50 over repeated runs, in three modes —
- * the pre-GEMM-subsystem naive per-tap loop (the PR 2 baseline,
- * reconstructed from the stage API), the blocked kernel serial, and
- * the blocked kernel with the per-tap GEMMs sharded across a worker
- * pool. Measured on the widest (most MACs) eligible layer of the
- * micro-8 net and on a wide 64-channel layer representing the
- * ROADMAP's "wide layers" regime.
+ * winograd-blocked layer, p50 over repeated runs, serial and with the
+ * per-tap GEMMs sharded across a worker pool. The input is already
+ * blocked, as layout propagation keeps it between blocked layers.
+ * Measured on the widest (most MACs) eligible layer of the micro-8
+ * net and on a wide 64-channel layer representing the ROADMAP's "wide
+ * layers" regime.
  */
 void
 runLayerLatency(const ConvLayerDesc &d, const char *tag,
@@ -1151,14 +1030,17 @@ runLayerLatency(const ConvLayerDesc &d, const char *tag,
     TensorD weights({d.cout, d.cin, 3, 3});
     Rng wrng(0xabc);
     wrng.fillNormal(weights.storage(), 0.0, 0.1);
-    const auto w = winogradPrepareTapWeights(weights, WinoVariant::F2);
+    const BlockedTapWeights bw = blockedTapWeights(
+        winogradPrepareTapWeights(weights, WinoVariant::F2));
 
     TensorD probe({batch, d.cin, d.height, d.width});
     Rng prng(0xdef);
     prng.fillNormal(probe.storage(), 0.0, 1.0);
     const WinoDims dims = winoDims(probe.shape(), WinoVariant::F2, 1);
+    TensorD probeBlocked(blockedShape(probe.shape()));
+    nchwToBlocked(probe, probeBlocked);
     TensorD V, U, M, Y;
-    TensorD out({batch, d.cout, dims.ho, dims.wo});
+    TensorD out({batch, bw.coutb, dims.ho, dims.wo, kLayoutBlock});
 
     ThreadPool pool(hw);
     PoolRunner runner(pool, pool.size());
@@ -1178,7 +1060,7 @@ runLayerLatency(const ConvLayerDesc &d, const char *tag,
                              .count());
         }
         Result r;
-        r.engine = "winograd-fp32";
+        r.engine = "winograd-blocked";
         r.label = label;
         r.threads = hw;
         r.maxBatch = batch;
@@ -1195,67 +1077,19 @@ runLayerLatency(const ConvLayerDesc &d, const char *tag,
         return r.p50Ms;
     };
 
-    const std::string naiveL = std::string(tag) + "-naive";
-    const std::string serialL = std::string(tag) + "-serial";
-    const std::string parL = std::string(tag) + "-par";
-    const std::string blkL = std::string(tag) + "-blocked";
-    const std::string blkParL = std::string(tag) + "-blocked-par";
-
-    const double pNaive = measure(naiveL, [&] {
-        // The PR 2 execution: scatter, naive i-k-j per-tap products,
-        // gather.
-        winogradScatter(probe, WinoVariant::F2, 1, V, U);
-        const std::size_t tt = dims.t * dims.t;
-        const Shape want{tt, d.cout, dims.tiles};
-        if (M.shape() != want)
-            M = TensorD(want);
-        for (std::size_t k = 0; k < tt; ++k)
-            gemm::referenceGemm(w.tap(k),
-                                U.data() + k * d.cin * dims.tiles,
-                                M.data() + k * d.cout * dims.tiles,
-                                d.cout, d.cin, dims.tiles);
-        winogradGather(M, WinoVariant::F2, Y, out);
+    const double pBlk = measure(std::string(tag) + "-blocked", [&] {
+        conv2dWinogradBlockedInto(probeBlocked, bw, 1, V, U, M, Y, out);
     });
-    const double pSerial = measure(serialL, [&] {
-        conv2dWinogradTiledInto(probe, w, 1, V, U, M, Y, out);
-    });
-    const double pPar = measure(parL, [&] {
-        conv2dWinogradTiledInto(probe, w, 1, V, U, M, Y, out, &runner);
-    });
-
-    // The NCHWc8 blocked-layout pipeline on the same layer,
-    // steady-state (input already blocked, as layout propagation
-    // keeps it between blocked layers). Rows land in the JSON under
-    // engine "winograd-blocked".
-    const BlockedTapWeights bw = blockedTapWeights(w);
-    TensorD probeBlocked(blockedShape(probe.shape()));
-    nchwToBlocked(probe, probeBlocked);
-    TensorD Vb, Ub, Mb, Yb;
-    TensorD outb({batch, bw.coutb, dims.ho, dims.wo, kLayoutBlock});
-    const char *engineSave = "winograd-blocked";
-    const auto measureBlocked = [&](const std::string &label,
-                                    auto &&fn) {
-        const std::size_t at = results.size();
-        const double p50 = measure(label, fn);
-        results[at].engine = engineSave;
-        return p50;
-    };
-    const double pBlk = measureBlocked(blkL, [&] {
-        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Vb, Ub, Mb, Yb,
-                                  outb);
-    });
-    const double pBlkPar = measureBlocked(blkParL, [&] {
-        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Vb, Ub, Mb, Yb,
-                                  outb, &runner);
-    });
+    const double pBlkPar =
+        measure(std::string(tag) + "-blocked-par", [&] {
+            conv2dWinogradBlockedInto(probeBlocked, bw, 1, V, U, M, Y,
+                                      out, &runner);
+        });
     pool.shutdown();
-    std::printf("layer %-10s [%zux%zu @ %zux%zu, b%zu] p50: naive "
-                "%.3f ms, blocked-gemm %.3f ms, +parallel %.3f ms "
-                "(%.2fx vs naive); nchwc8 %.3f ms, +parallel %.3f ms "
-                "(%.2fx vs nchw wino)\n",
-                tag, d.cout, d.cin, d.height, d.width, batch, pNaive,
-                pSerial, pPar, pNaive / std::min(pSerial, pPar), pBlk,
-                pBlkPar, pSerial / std::min(pBlk, pBlkPar));
+    std::printf("layer %-10s [%zux%zu @ %zux%zu, b%zu] p50: nchwc8 "
+                "%.3f ms, +parallel %.3f ms (%.2fx)\n",
+                tag, d.cout, d.cin, d.height, d.width, batch, pBlk,
+                pBlkPar, pBlk / pBlkPar);
 }
 
 void
@@ -1467,7 +1301,7 @@ main(int argc, char **argv)
     {
         const std::size_t kNetRequests = 192;
         SessionConfig scfg;
-        scfg.defaultEngine = ConvEngine::WinogradFp32;
+        scfg.defaultEngine = ConvEngine::WinogradBlocked;
         auto session = std::make_shared<const Session>(
             microServeNet(16, 8), scfg);
         std::printf("=== Network serving (loopback TCP, epoll front "
@@ -1486,10 +1320,10 @@ main(int argc, char **argv)
             results.push_back(r);
         };
         for (const std::size_t t : {1u, 2u, 4u, 8u, 16u}) {
-            show(runNetClosed(session, ConvEngine::WinogradFp32,
+            show(runNetClosed(session, ConvEngine::WinogradBlocked,
                               "net-loop-t" + std::to_string(t), t, 8,
                               2 * t, kNetRequests, 0));
-            show(runNetOpen(session, ConvEngine::WinogradFp32,
+            show(runNetOpen(session, ConvEngine::WinogradBlocked,
                             "net-bulk-t" + std::to_string(t), t,
                             kNetRequests));
         }
@@ -1501,9 +1335,9 @@ main(int argc, char **argv)
         // ADMITTED requests, the bounded-latency claim.
         const std::size_t hwNet = std::max<std::size_t>(
             1, std::thread::hardware_concurrency());
-        show(runNetClosed(session, ConvEngine::WinogradFp32,
+        show(runNetClosed(session, ConvEngine::WinogradBlocked,
                           "net-unloaded", hwNet, 1, 1, 128, 0));
-        show(runNetClosed(session, ConvEngine::WinogradFp32,
+        show(runNetClosed(session, ConvEngine::WinogradBlocked,
                           "net-overload", hwNet, 1, 8, 512, 2));
         std::printf("\n");
     }
@@ -1532,10 +1366,9 @@ main(int argc, char **argv)
         wide.width = 16;
         runLayerLatency(wide, "wide64", 8, hw, results);
 
-        // Quantized wide-64 single-batch latency: NCHW int-winograd
-        // vs the NCHWc8 blocked int8 engine, each on its native
-        // steady-state input layout — the rows the int8 layout claim
-        // is tracked by (wide64-int8-nchw / wide64-int8-blocked).
+        // Quantized wide-64 single-batch latency of the NCHWc8
+        // blocked int8 engine on its steady-state blocked input (the
+        // wide64-int8-blocked row).
         {
             const EngineRegistry &registry = EngineRegistry::instance();
             LayerBuild build;
@@ -1552,58 +1385,45 @@ main(int argc, char **argv)
             TensorD probe({8, wide.cin, wide.height, wide.width});
             Rng prng(0x1e8);
             prng.fillNormal(probe.storage(), 0.0, 1.0);
-            TensorD probeBlocked(blockedShape(probe.shape()));
-            nchwToBlocked(probe, probeBlocked);
+            TensorD in(blockedShape(probe.shape()));
+            nchwToBlocked(probe, in);
             ScratchArena arena;
 
-            const auto latencyRow = [&](ConvEngine engine,
-                                        const char *label,
-                                        const TensorD &in) {
-                const auto backend = registry.get(engine);
-                const auto prep =
-                    backend->prepare(wide, weights, build);
-                TensorD out(
-                    backend->outputShape(*prep, in.shape()));
-                backend->run(*prep, in, arena, out); // warmup
-                std::vector<double> ms;
-                constexpr int kIters = 60;
-                ms.reserve(kIters);
-                const auto wall0 = Clock::now();
-                for (int i = 0; i < kIters; ++i) {
-                    const auto t0 = Clock::now();
-                    backend->run(*prep, in, arena, out);
-                    ms.push_back(
-                        std::chrono::duration<double, std::milli>(
-                            Clock::now() - t0)
-                            .count());
-                }
-                Result r;
-                r.engine = convEngineName(engine);
-                r.label = label;
-                r.threads = 1;
-                r.maxBatch = 8;
-                r.clients = 1;
-                r.requests = kIters;
-                r.wallSec = std::chrono::duration<double>(
-                                Clock::now() - wall0)
-                                .count();
-                r.reqPerSec = kIters / r.wallSec;
-                r.p50Ms = percentile(ms, 0.50);
-                r.p99Ms = percentile(ms, 0.99);
-                r.p999Ms = percentile(ms, 0.999);
-                r.avgBatch = 8.0;
-                results.push_back(r);
-                return r.p50Ms;
-            };
-            const double pInt = latencyRow(ConvEngine::WinogradInt8,
-                                           "wide64-int8-nchw",
-                                           probe);
-            const double pIntB =
-                latencyRow(ConvEngine::WinogradBlockedInt8,
-                           "wide64-int8-blocked", probeBlocked);
-            std::printf("layer wide-64 int8 p50: nchw %.3f ms, "
-                        "nchwc8 %.3f ms (%.2fx)\n",
-                        pInt, pIntB, pInt / pIntB);
+            const ConvEngine engine = ConvEngine::WinogradBlockedInt8;
+            const auto backend = registry.get(engine);
+            const auto prep = backend->prepare(wide, weights, build);
+            TensorD out(backend->outputShape(*prep, in.shape()));
+            backend->run(*prep, in, arena, out); // warmup
+            std::vector<double> ms;
+            constexpr int kIters = 60;
+            ms.reserve(kIters);
+            const auto wall0 = Clock::now();
+            for (int i = 0; i < kIters; ++i) {
+                const auto t0 = Clock::now();
+                backend->run(*prep, in, arena, out);
+                ms.push_back(
+                    std::chrono::duration<double, std::milli>(
+                        Clock::now() - t0)
+                        .count());
+            }
+            Result r;
+            r.engine = convEngineName(engine);
+            r.label = "wide64-int8-blocked";
+            r.threads = 1;
+            r.maxBatch = 8;
+            r.clients = 1;
+            r.requests = kIters;
+            r.wallSec = std::chrono::duration<double>(
+                            Clock::now() - wall0)
+                            .count();
+            r.reqPerSec = kIters / r.wallSec;
+            r.p50Ms = percentile(ms, 0.50);
+            r.p99Ms = percentile(ms, 0.99);
+            r.p999Ms = percentile(ms, 0.999);
+            r.avgBatch = 8.0;
+            results.push_back(r);
+            std::printf("layer wide-64 int8 p50: nchwc8 %.3f ms\n",
+                        r.p50Ms);
         }
 
         // Fused-epilogue and binary16-storage wide-64 rows: the fused
@@ -1782,67 +1602,6 @@ main(int argc, char **argv)
                     "(batch 8, includes ingress/egress conversion)\n",
                     r.engine, winoName(session->layerVariant(0)),
                     r.p50Ms);
-
-        // Chain-aware layout planning vs the per-layer argmin on a
-        // three-deep wide-64 chain: same candidate tables, but the
-        // DP charges NCHW↔NCHWc8 seams (and ingress/egress) on the
-        // edges, so its plan must serve at least as fast — the
-        // wide64-chain-dp row is gated against wide64-argmin by the
-        // CI bench-regression check.
-        {
-            NetworkDesc deep;
-            deep.name = "Wide64x3";
-            deep.inputRes = wide.height;
-            for (int i = 0; i < 3; ++i) {
-                ConvLayerDesc l = wide;
-                l.name = "wide." + std::to_string(i);
-                deep.layers.push_back(l);
-            }
-            const auto chainRow = [&](const char *label,
-                                      bool chainDp) {
-                SessionConfig ccfg;
-                ccfg.autoSelect = true;
-                ccfg.chainDp = chainDp;
-                const Session chain(deep, ccfg);
-                ScratchArena carena;
-                chain.run(probe, carena); // warmup
-                std::vector<double> cms;
-                beginRowPerf();
-                const auto w0 = Clock::now();
-                constexpr int kChainIters = 40;
-                for (int i = 0; i < kChainIters; ++i) {
-                    const auto t0 = Clock::now();
-                    chain.run(probe, carena);
-                    cms.push_back(
-                        std::chrono::duration<double, std::milli>(
-                            Clock::now() - t0)
-                            .count());
-                }
-                Result cr;
-                cr.engine = convEngineName(chain.layerEngine(0));
-                cr.label = label;
-                cr.threads = 1;
-                cr.maxBatch = 8;
-                cr.clients = 1;
-                cr.requests = kChainIters;
-                cr.wallSec = std::chrono::duration<double>(
-                                 Clock::now() - w0)
-                                 .count();
-                cr.reqPerSec = kChainIters / cr.wallSec;
-                cr.p50Ms = percentile(cms, 0.50);
-                cr.p99Ms = percentile(cms, 0.99);
-                cr.p999Ms = percentile(cms, 0.999);
-                cr.avgBatch = 8.0;
-                endRowPerf(cr);
-                results.push_back(cr);
-                std::printf("%s[wide-64x3] -> %s (%s), p50 %.3f ms\n",
-                            label, cr.engine,
-                            winoName(chain.layerVariant(0)),
-                            cr.p50Ms);
-            };
-            chainRow("wide64-argmin", false);
-            chainRow("wide64-chain-dp", true);
-        }
     }
 
     writeJson(results, stages, stagePerf, "BENCH_runtime.json");

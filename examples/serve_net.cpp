@@ -54,7 +54,7 @@ std::shared_ptr<const Session>
 makeSession()
 {
     SessionConfig scfg;
-    scfg.defaultEngine = ConvEngine::WinogradFp32;
+    scfg.defaultEngine = ConvEngine::WinogradBlocked;
     if (!gPlanCache.empty()) {
         scfg.autoSelect = true;
         scfg.planCachePath = gPlanCache;

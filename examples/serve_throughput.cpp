@@ -6,7 +6,8 @@
  * latency percentiles.
  *
  * Usage:
- *   serve_throughput [--engine im2col|winograd-fp32|winograd-int8|im2col-int8]
+ *   serve_throughput [--engine im2col|im2col-int8|winograd-blocked|
+ *                             winograd-blocked-int8|winograd-blocked-f16]
  *                    [--threads N] [--batch B] [--clients C]
  *                    [--requests R] [--res PX] [--width CH]
  *                    [--variant f2|f4] [--trace out.json] [--metrics]
@@ -36,7 +37,7 @@ using namespace twq;
 int
 main(int argc, char **argv)
 {
-    ConvEngine engine = ConvEngine::WinogradFp32;
+    ConvEngine engine = ConvEngine::WinogradBlocked;
     std::size_t threads = std::max<std::size_t>(
         1, std::thread::hardware_concurrency());
     std::size_t maxBatch = 8;

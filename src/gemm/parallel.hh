@@ -66,7 +66,6 @@ class PackPool
     virtual ~PackPool() = default;
 
     virtual double *packD(std::size_t lane) = 0;
-    virtual std::int64_t *packI64(std::size_t lane) = 0;
     virtual std::int8_t *packI8(std::size_t lane) = 0;
 };
 
@@ -86,8 +85,6 @@ lanePack(PackPool *packs, std::size_t lane)
         return nullptr;
     if constexpr (std::is_same_v<T, double>)
         return packs->packD(lane);
-    else if constexpr (std::is_same_v<T, std::int64_t>)
-        return packs->packI64(lane);
     else if constexpr (std::is_same_v<T, std::int8_t>)
         return packs->packI8(lane);
     else

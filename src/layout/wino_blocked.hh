@@ -207,9 +207,9 @@ winoChunkBuffer(Tensor<T> &buf, std::size_t n)
 
 /**
  * Full blocked-layout Winograd convolution with caller-provided
- * buffers (e.g. ScratchArena slots), mirroring
- * conv2dWinogradTiledInto: gather, input kron, per-tap GEMM, output
- * kron, untile — all on NCHWc8 operands, one chunk of tile rows at a
+ * buffers (e.g. ScratchArena slots), mirroring conv2dWinogradTiled:
+ * gather, input kron, per-tap GEMM, output kron, untile — all on
+ * NCHWc8 operands, one chunk of tile rows at a
  * time (see the file comment). `out` must be pre-shaped
  * [N, Coutb, Ho, Wo, 8]. V, U, M and Y hold one chunk: each is
  * regrown only if smaller than that (winoChunkBuffer) and is

@@ -32,10 +32,11 @@
  * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
  * of forwardInto runs the vectorized blocked form — per-lane fused
  * S_BG * s_x scaling, Kronecker row passes through the dispatched
- * kron kernel, blocked untile. The NCHW engine's gather is specified
- * in the same row-pass order over the same fused scales and the same
- * dispatched kernel, so the blocked FP dequant is bit-identical to
- * the NCHW engine (modulo layout), not merely tolerance-equal; its
+ * kron kernel, blocked untile. The NCHW pipeline's gather
+ * (IntWinogradConv::forward) is specified in the same row-pass order
+ * over the same fused scales and the same dispatched kernel, so the
+ * blocked FP dequant is bit-identical to it (modulo layout), not
+ * merely tolerance-equal; its
  * result is deterministic and independent of batch size and
  * sharding. Overflow is excluded by construction:
  * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32

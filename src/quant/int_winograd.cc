@@ -152,8 +152,7 @@ IntWinogradConv::IntWinogradConv(const TensorD &weights,
 void
 IntWinogradConv::scatterGemm(const TensorD &input, bool useShifts,
                              TensorI64 &xq, TensorI64 &V, TensorI64 &U,
-                             TensorI64 &M, gemm::ParallelRunner *runner,
-                             gemm::PackPool *packs) const
+                             TensorI64 &M) const
 {
     const WinoDims d = winoDims(input.shape(), cfg_.variant, cfg_.pad);
     const std::size_t t = d.t;
@@ -214,26 +213,16 @@ IntWinogradConv::scatterGemm(const TensorD &input, bool useShifts,
     }
 
     // Per-tap GEMM: M[k] = Wq[k] ([Cout, Cin]) * U[k] ([Cin, P]),
-    // each on the blocked integer core; taps (further split into P
-    // column blocks when taps alone under-fill the pool) shard across
-    // `runner` when one is provided (exact integer sums — order-free).
+    // each on the blocked integer core.
     const Shape mshape{tt, cout_, d.tiles};
     if (M.shape() != mshape)
         M = TensorI64(mshape);
-    if (!runner)
-        packs = nullptr; // lanes are only exclusive under a runner
     TWQ_SPAN("wino8.tapgemm");
     TWQ_STAGE_PERF("wino8.tapgemm");
-    gemm::runTapColBlocks(
-        runner, tt, d.tiles, gemm::kNr,
-        [&](std::size_t k, std::size_t j0, std::size_t jn,
-            std::size_t lane) {
-            gemm::gemmCols(wqTaps_.data() + k * cout_ * cin_,
-                           U.data() + k * cin_ * d.tiles + j0,
-                           M.data() + k * cout_ * d.tiles + j0, cout_,
-                           cin_, jn, d.tiles, d.tiles,
-                           gemm::lanePack<std::int64_t>(packs, lane));
-        });
+    for (std::size_t k = 0; k < tt; ++k)
+        gemm::gemm(wqTaps_.data() + k * cout_ * cin_,
+                   U.data() + k * cin_ * d.tiles,
+                   M.data() + k * cout_ * d.tiles, cout_, cin_, d.tiles);
 }
 
 TensorD
@@ -250,10 +239,8 @@ IntWinogradConv::forward(const TensorD &input) const
 void
 IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                              TensorI64 &V, TensorI64 &U, TensorI64 &M,
-                             TensorD &Md, TensorD &Y, TensorD &out,
-                             gemm::ParallelRunner *runner,
-                             gemm::PackPool *packs, const double *bias,
-                             bool relu) const
+                             TensorD &Md, TensorD &Y,
+                             TensorD &out) const
 {
     twq_assert(input.rank() == 4 && input.dim(1) == cin_,
                "channel mismatch");
@@ -264,16 +251,14 @@ IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                "output tensor not pre-shaped for the tiled launch");
     const std::size_t tt = d.t * d.t;
 
-    scatterGemm(input, /*useShifts=*/false, xq, V, U, M, runner,
-                packs);
+    scatterGemm(input, /*useShifts=*/false, xq, V, U, M);
 
     // Gather, specified in row-pass order — the same specification
     // the blocked engine vectorizes, so the two dequants are
     // bit-identical: the fused S_BG * s_x scale applied per
     // (tap, oc) GEMM slice, the FP A-transform as Kronecker row
     // passes through the dispatched kron kernel (FMA contraction and
-    // term order included), then the clipped untile with the fused
-    // epilogue.
+    // term order included), then the clipped untile.
     const Shape mdshape{tt, cout_, d.tiles};
     if (Md.shape() != mdshape)
         Md = TensorD(mdshape);
@@ -308,7 +293,6 @@ IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
         for (std::size_t oc = 0; oc < cout_; ++oc) {
             double *plane =
                 out.data() + (in * cout_ + oc) * d.ho * d.wo;
-            const double bc = bias ? bias[oc] : 0.0;
             for (std::size_t ty = 0; ty < d.tilesY; ++ty) {
                 for (std::size_t tx = 0; tx < d.tilesX; ++tx) {
                     const std::size_t p =
@@ -320,17 +304,11 @@ IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                     for (std::size_t yy = 0; yy < ylim; ++yy) {
                         double *dst =
                             plane + (ty * d.m + yy) * d.wo + tx * d.m;
-                        for (std::size_t xx = 0; xx < xlim; ++xx) {
-                            double v =
-                                yy0[((yy * d.m + xx) * cout_ + oc) *
-                                        d.tiles +
-                                    p];
-                            if (bias)
-                                v += bc;
-                            if (relu && v < 0.0)
-                                v = 0.0;
-                            dst[xx] = v;
-                        }
+                        for (std::size_t xx = 0; xx < xlim; ++xx)
+                            dst[xx] = yy0[((yy * d.m + xx) * cout_ +
+                                           oc) *
+                                              d.tiles +
+                                          p];
                     }
                 }
             }

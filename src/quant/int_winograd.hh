@@ -28,7 +28,6 @@
 
 #include <vector>
 
-#include "gemm/parallel.hh"
 #include "quant/scales.hh"
 #include "tensor/tensor.hh"
 #include "winograd/matrices.hh"
@@ -87,23 +86,13 @@ class IntWinogradConv
      * the quantized input, `V` the raw tiles, `U`/`M` the
      * scatter/GEMM planes, `Md`/`Y` the FP dequant and back-transform
      * planes (reshaped as needed), `out` the pre-shaped
-     * [N, Cout, Ho, Wo] result. With reused buffers (e.g.
-     * ScratchArena slots) the steady state performs no allocations.
-     * A non-null `runner` shards the t*t independent per-tap GEMMs
-     * (pack buffers drawn from `packs` when provided); integer
-     * accumulation is exact, so the sharded result stays
-     * bit-identical to serial execution and to forwardReference().
-     * A non-null `bias` ([Cout]) and `relu` are a fused FP epilogue
-     * applied at the dequantized output write — bit-identical to a
-     * separate bias/ReLU sweep over the output.
+     * [N, Cout, Ho, Wo] result. With reused buffers the steady
+     * state performs no allocations. Bit-identical to
+     * forwardReference().
      */
     void forwardInto(const TensorD &input, TensorI64 &xq, TensorI64 &V,
                      TensorI64 &U, TensorI64 &M, TensorD &Md,
-                     TensorD &Y, TensorD &out,
-                     gemm::ParallelRunner *runner = nullptr,
-                     gemm::PackPool *packs = nullptr,
-                     const double *bias = nullptr,
-                     bool relu = false) const;
+                     TensorD &Y, TensorD &out) const;
 
     /**
      * Tile-at-a-time reference implementation (the original
@@ -168,9 +157,7 @@ class IntWinogradConv
     /// for power-of-two scales.
     void scatterGemm(const TensorD &input, bool useShifts,
                      TensorI64 &xq, TensorI64 &V, TensorI64 &U,
-                     TensorI64 &M,
-                     gemm::ParallelRunner *runner = nullptr,
-                     gemm::PackPool *packs = nullptr) const;
+                     TensorI64 &M) const;
 
     IntWinogradConfig cfg_;
     std::size_t cout_;

@@ -56,13 +56,6 @@ class ScratchArena
         return shaped(dslots_, slot, shape);
     }
 
-    /** Same contract for int64 tensors (integer Winograd buffers). */
-    TensorI64 &
-    tensorI64(Slot slot, const Shape &shape)
-    {
-        return shaped(islots_, slot, shape);
-    }
-
     /** Same contract for int8 tensors (quantized im2col operands). */
     TensorI8 &
     tensorI8(Slot slot, const Shape &shape)
@@ -122,8 +115,6 @@ class ScratchArena
         std::size_t live = 0;
         for (const TensorD &t : dslots_)
             live += t.numel() > 0;
-        for (const TensorI64 &t : islots_)
-            live += t.numel() > 0;
         for (const TensorI8 &t : i8slots_)
             live += t.numel() > 0;
         for (const TensorI32 &t : i32slots_)
@@ -144,8 +135,6 @@ class ScratchArena
     {
         if constexpr (std::is_same_v<T, double>)
             return dslots_;
-        else if constexpr (std::is_same_v<T, std::int64_t>)
-            return islots_;
         else if constexpr (std::is_same_v<T, std::int8_t>)
             return i8slots_;
         else if constexpr (std::is_same_v<T, std::int32_t>)
@@ -182,7 +171,6 @@ class ScratchArena
     }
 
     std::deque<TensorD> dslots_;
-    std::deque<TensorI64> islots_;
     std::deque<TensorI8> i8slots_;
     std::deque<TensorI32> i32slots_;
     std::deque<TensorI16> i16slots_;

@@ -70,14 +70,6 @@ packSlotD()
 }
 
 ScratchArena::Slot
-packSlotI64()
-{
-    static const ScratchArena::Slot slot =
-        ScratchArena::resolve("gemm.pack.i64");
-    return slot;
-}
-
-ScratchArena::Slot
 packSlotI8()
 {
     static const ScratchArena::Slot slot =
@@ -149,184 +141,6 @@ class Im2colBackend : public ConvBackend
                                ctx.runnerFor(macs), ctx.packs,
                                p.bias.empty() ? nullptr : p.bias.data(),
                                p.relu);
-    }
-};
-
-// ------------------------------------------------------ FP32 Winograd
-
-struct WinogradFp32Prepared : PreparedLayer
-{
-    /// Tap-major [t*t][Cout][Cin] weights feeding the per-tap GEMM.
-    WinogradTapWeights<double> weights;
-    std::size_t pad = 1;
-    ScratchArena::Slot tiles = 0;   ///< V raw-tile slot
-    ScratchArena::Slot scatter = 0; ///< U buffer slot
-    ScratchArena::Slot gemm = 0;    ///< M buffer slot
-    ScratchArena::Slot back = 0;    ///< Y back-transform slot
-    std::vector<double> bias;       ///< fused epilogue; empty = none
-    bool relu = false;
-};
-
-class WinogradFp32Backend : public ConvBackend
-{
-  public:
-    ConvEngine kind() const override { return ConvEngine::WinogradFp32; }
-
-    bool
-    supports(const ConvLayerDesc &desc) const override
-    {
-        return desc.winogradEligible();
-    }
-
-    std::shared_ptr<const PreparedLayer>
-    prepare(const ConvLayerDesc &desc, const TensorD &weights,
-            const LayerBuild &build) const override
-    {
-        twq_assert(supports(desc),
-                   "winograd-fp32 backend on ineligible layer ",
-                   desc.name);
-        auto prep = std::make_shared<WinogradFp32Prepared>();
-        prep->weights =
-            winogradPrepareTapWeights(weights, build.variant);
-        prep->pad = build.params.pad;
-        prep->tiles = layerSlot("wino.V", desc.name);
-        prep->scatter = layerSlot("wino.U", desc.name);
-        prep->gemm = layerSlot("wino.M", desc.name);
-        prep->back = layerSlot("wino.Y", desc.name);
-        prep->bias = epilogueBias(build.epilogue, desc);
-        prep->relu = build.epilogue.relu;
-        return prep;
-    }
-
-    Shape
-    outputShape(const PreparedLayer &prep,
-                const Shape &input) const override
-    {
-        const auto &p = static_cast<const WinogradFp32Prepared &>(prep);
-        const ConvParams cp{3, 1, p.pad};
-        return {input[0], p.weights.cout, cp.outSize(input[2]),
-                cp.outSize(input[3])};
-    }
-
-    void
-    run(const PreparedLayer &prep, const TensorD &input,
-        ScratchArena &scratch, TensorD &out,
-        const RunContext &ctx) const override
-    {
-        const auto &p = static_cast<const WinogradFp32Prepared &>(prep);
-        const WinoDims d =
-            winoDims(input.shape(), p.weights.variant, p.pad);
-        TensorD &V = scratch.tensor(
-            p.tiles, {d.t * d.t, p.weights.cin, d.tiles});
-        TensorD &U = scratch.tensor(
-            p.scatter, {d.t * d.t, p.weights.cin, d.tiles});
-        TensorD &M = scratch.tensor(
-            p.gemm, {d.t * d.t, p.weights.cout, d.tiles});
-        TensorD &Y = scratch.tensor(
-            p.back, {d.m * d.m, p.weights.cout, d.tiles});
-        const double macs = static_cast<double>(d.t * d.t) *
-                            static_cast<double>(p.weights.cout) *
-                            static_cast<double>(p.weights.cin) *
-                            static_cast<double>(d.tiles);
-        conv2dWinogradTiledInto(input, p.weights, p.pad, V, U, M, Y,
-                                out, ctx.runnerFor(macs), ctx.packs,
-                                p.bias.empty() ? nullptr : p.bias.data(),
-                                p.relu);
-    }
-};
-
-// -------------------------------------------- int8 tap-wise Winograd
-
-struct WinogradInt8Prepared : PreparedLayer
-{
-    /// Owns the quantized tap-major weights and all scales;
-    /// forwardInto() is const and thus shareable across workers.
-    std::unique_ptr<IntWinogradConv> conv;
-    ScratchArena::Slot quantized = 0; ///< int64 quantized-input slot
-    ScratchArena::Slot tiles = 0;     ///< int64 raw-tile slot
-    ScratchArena::Slot scatter = 0;   ///< int64 U buffer slot
-    ScratchArena::Slot gemm = 0;      ///< int64 M buffer slot
-    ScratchArena::Slot dequant = 0;   ///< double dequant plane slot
-    ScratchArena::Slot back = 0;      ///< double back-transform slot
-    std::vector<double> bias;         ///< fused epilogue; empty = none
-    bool relu = false;
-};
-
-class WinogradInt8Backend : public ConvBackend
-{
-  public:
-    ConvEngine kind() const override { return ConvEngine::WinogradInt8; }
-
-    bool
-    supports(const ConvLayerDesc &desc) const override
-    {
-        return desc.winogradEligible();
-    }
-
-    std::shared_ptr<const PreparedLayer>
-    prepare(const ConvLayerDesc &desc, const TensorD &weights,
-            const LayerBuild &build) const override
-    {
-        twq_assert(supports(desc),
-                   "winograd-int8 backend on ineligible layer ",
-                   desc.name);
-        twq_assert(build.calibration && !build.calibration->empty(),
-                   "winograd-int8 backend needs calibration samples");
-        IntWinogradConfig cfg = build.quant;
-        cfg.variant = build.variant;
-        cfg.pad = build.params.pad;
-        auto prep = std::make_shared<WinogradInt8Prepared>();
-        prep->conv = std::make_unique<IntWinogradConv>(
-            weights, *build.calibration, cfg, build.calCache);
-        prep->quantized = layerSlot("wino8.xq", desc.name);
-        prep->tiles = layerSlot("wino8.V", desc.name);
-        prep->scatter = layerSlot("wino8.U", desc.name);
-        prep->gemm = layerSlot("wino8.M", desc.name);
-        prep->dequant = layerSlot("wino8.Md", desc.name);
-        prep->back = layerSlot("wino8.Y", desc.name);
-        prep->bias = epilogueBias(build.epilogue, desc);
-        prep->relu = build.epilogue.relu;
-        return prep;
-    }
-
-    Shape
-    outputShape(const PreparedLayer &prep,
-                const Shape &input) const override
-    {
-        const auto &p = static_cast<const WinogradInt8Prepared &>(prep);
-        const ConvParams cp{3, 1, p.conv->config().pad};
-        return {input[0], p.conv->cout(), cp.outSize(input[2]),
-                cp.outSize(input[3])};
-    }
-
-    void
-    run(const PreparedLayer &prep, const TensorD &input,
-        ScratchArena &scratch, TensorD &out,
-        const RunContext &ctx) const override
-    {
-        const auto &p = static_cast<const WinogradInt8Prepared &>(prep);
-        const WinoDims d = winoDims(input.shape(),
-                                    p.conv->config().variant,
-                                    p.conv->config().pad);
-        TensorI64 &xq = scratch.tensorI64(p.quantized, input.shape());
-        TensorI64 &V = scratch.tensorI64(
-            p.tiles, {d.t * d.t, p.conv->cin(), d.tiles});
-        TensorI64 &U = scratch.tensorI64(
-            p.scatter, {d.t * d.t, p.conv->cin(), d.tiles});
-        TensorI64 &M = scratch.tensorI64(
-            p.gemm, {d.t * d.t, p.conv->cout(), d.tiles});
-        TensorD &Md = scratch.tensor(
-            p.dequant, {d.t * d.t, p.conv->cout(), d.tiles});
-        TensorD &Y = scratch.tensor(
-            p.back, {d.m * d.m, p.conv->cout(), d.tiles});
-        const double macs = static_cast<double>(d.t * d.t) *
-                            static_cast<double>(p.conv->cout()) *
-                            static_cast<double>(p.conv->cin()) *
-                            static_cast<double>(d.tiles);
-        p.conv->forwardInto(input, xq, V, U, M, Md, Y, out,
-                            ctx.runnerFor(macs), ctx.packs,
-                            p.bias.empty() ? nullptr : p.bias.data(),
-                            p.relu);
     }
 };
 
@@ -471,9 +285,9 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
  * int8 tap-wise quantized Winograd on the NCHWc8 blocked activation
  * layout (quant/int_wino_blocked.hh): blocked tiles quantize in
  * place, the per-tap widening GEMM runs the int16 c-block kernel,
- * and the tap-wise S_BG rescale is applied per GEMM slice exactly
- * like the NCHW engine — outputs are bit-identical to it (and to
- * forwardInt8Reference on the fully integer path).
+ * and the tap-wise S_BG rescale is applied per GEMM slice — outputs
+ * are bit-identical to IntWinogradConv::forward and forwardReference
+ * (and to forwardInt8Reference on the fully integer path).
  */
 class WinogradBlockedInt8Backend : public ConvBackend
 {
@@ -975,17 +789,6 @@ ArenaPackPool::packD(std::size_t lane)
         .data();
 }
 
-std::int64_t *
-ArenaPackPool::packI64(std::size_t lane)
-{
-    twq_assert(lane < arenas_->size(),
-               "pack lane beyond the arena pool — runner lanes() "
-               "exceeds the arenas this pool was built over");
-    return (*arenas_)[lane]
-        .tensorI64(packSlotI64(), {gemm::packSize()})
-        .data();
-}
-
 std::int8_t *
 ArenaPackPool::packI8(std::size_t lane)
 {
@@ -1038,8 +841,6 @@ timeBackendRunF16(const ConvBackend &backend,
 EngineRegistry::EngineRegistry()
 {
     registerBackend(std::make_shared<Im2colBackend>());
-    registerBackend(std::make_shared<WinogradFp32Backend>());
-    registerBackend(std::make_shared<WinogradInt8Backend>());
     registerBackend(std::make_shared<Im2colInt8Backend>());
     registerBackend(std::make_shared<WinogradBlockedBackend>());
     registerBackend(std::make_shared<WinogradBlockedInt8Backend>());

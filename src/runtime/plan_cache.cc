@@ -1,8 +1,13 @@
 #include "runtime/plan_cache.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "gemm/gemm.hh"
 #include "layout/kernels_f16.hh"
@@ -16,7 +21,7 @@ namespace
 {
 
 constexpr const char *kMagic = "twq-plan-cache";
-constexpr const char *kVersion = "v4";
+constexpr const char *kVersion = "v5";
 
 /// Upper bound on a sane candidate-table length: engines × variants
 /// is single digits today; anything larger is a corrupt line.
@@ -109,8 +114,6 @@ PlanCache::serialize() const
             << winoName(d.variant) << ' ' << d.probeNs << ' '
             << d.cycles << ' ' << d.instructions << ' '
             << d.cacheRefs << ' ' << d.cacheMisses << ' '
-            << d.inToBlockedNs << ' ' << d.inToNchwNs << ' '
-            << d.outToBlockedNs << ' ' << d.outToNchwNs << ' '
             << d.table.size();
         for (const Cand &c : d.table)
             out << ' ' << convEngineName(c.engine) << ' '
@@ -129,7 +132,11 @@ PlanCache::deserialize(const std::string &text)
     // disturb valid plans already measured in this process — the
     // cache may be shared across sessions, and a bad FILE is no
     // reason to throw away good MEMORY. Rejected input simply means
-    // the affected layers re-probe.
+    // the affected layers re-probe. serialize() ends every line in
+    // '\n', so text without one is a file cut short — its last
+    // number may have lost digits and still parse.
+    if (text.empty() || text.back() != '\n')
+        return false;
     std::istringstream in(text);
     std::string line;
     if (!std::getline(in, line))
@@ -159,8 +166,7 @@ PlanCache::deserialize(const std::string &text)
         std::size_t nCand = 0;
         if (!(fields >> key >> engine >> variant >> d.probeNs >>
               d.cycles >> d.instructions >> d.cacheRefs >>
-              d.cacheMisses >> d.inToBlockedNs >> d.inToNchwNs >>
-              d.outToBlockedNs >> d.outToNchwNs >> nCand) ||
+              d.cacheMisses >> nCand) ||
             nCand > kMaxTable ||
             !convEngineFromName(engine, &d.engine) ||
             !variantFromName(variant, &d.variant))
@@ -203,13 +209,29 @@ PlanCache::loadFile(const std::string &path)
 bool
 PlanCache::saveFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
+    std::string tmp = path + ".XXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    if (fd < 0)
         return false;
     const std::string text = serialize();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    return std::fclose(f) == 0 && ok;
+    std::size_t done = 0;
+    while (done < text.size()) {
+        const ssize_t n =
+            ::write(fd, text.data() + done, text.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += static_cast<std::size_t>(n);
+    }
+    // mkstemp creates the file 0600; a plan cache is readable like
+    // any other file the process would have created.
+    bool ok = done == text.size() && ::fchmod(fd, 0644) == 0;
+    ok = ::close(fd) == 0 && ok;
+    ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!ok)
+        std::remove(tmp.c_str());
+    return ok;
 }
 
 } // namespace twq

@@ -3,9 +3,9 @@
  * Serializable cache of autoSelect's measured per-layer plans.
  *
  * SessionConfig::autoSelect races each eligible FP layer's candidate
- * engines (im2col, winograd-fp32, blocked-layout winograd, across the
- * F2/F4/F6 transform variants) on a timing probe at session build.
- * Those measurements cost real wall-clock per layer per process; this
+ * engines (im2col and blocked-layout winograd across the F2/F4/F6
+ * transform variants) on a timing probe at session build. Those
+ * measurements cost real wall-clock per layer per process; this
  * cache persists the winning (engine, variant) — the engine choice
  * carries the layout decision, since ConvEngine::WinogradBlocked is
  * the NCHWc8 plan — keyed by the layer's shape and the probe batch,
@@ -16,40 +16,35 @@
  * The cache is a plain line-oriented text format whose header carries
  * the kernel-table signature of the process that measured the plans:
  *
- *     twq-plan-cache v4 sig=avx2/avx512-vnni/avx2
+ *     twq-plan-cache v5 sig=avx2/avx512-vnni/avx2
  *     c64o64k3s1h16w16b8 winograd-blocked F4 182340 812345 1623490 \
- *         40210 1204 9120 8770 9050 8990 3 im2col F2 401200 \
- *         winograd-fp32 F4 240100 winograd-blocked F4 182340
+ *         40210 1204 3 im2col F2 401200 winograd-blocked F2 240100 \
+ *         winograd-blocked F4 182340
  *     ...
  *
- * (shown wrapped; each entry is one line). The five numeric fields
- * after the variant are measurement provenance: the winning
- * candidate's best probe time in nanoseconds, then the hardware
- * counters sampled over that probe — cycles, instructions, cache
- * references, cache misses (all zero when perf_event_open was
- * unavailable). Provenance lets an operator audit WHY a cached plan
- * won (`/statusz` surfaces it per layer) without re-probing.
- *
- * v4 extends each entry with the data the chain-aware layout DP
- * (runtime/session.cc) needs to re-decide plans jointly across
- * adjacent layers without re-measuring anything: four layout
- * conversion costs — NCHW→NCHWc8 and NCHWc8→NCHW, each measured at
- * the layer's INPUT shape and at its OUTPUT shape (the seam a
- * downstream neighbor or the chain egress sees) — followed by the
- * full candidate table, `n` then n (engine, variant, ns) triples
- * (ns as charged by the planner, see Cand). A
- * winner-only entry (n = 0, costs 0) is still honored: the session
- * adopts the recorded winner verbatim and the DP treats the layer
- * as fixed.
+ * (shown wrapped; each entry is one line, and every line, the last
+ * included, ends in '\n'). The five numeric fields after the variant
+ * are measurement provenance: the winning candidate's best probe time
+ * in nanoseconds, then the hardware counters sampled over that probe
+ * — cycles, instructions, cache references, cache misses (all zero
+ * when perf_event_open was unavailable). Provenance lets an operator
+ * audit WHY a cached plan won (`/statusz` surfaces it per layer)
+ * without re-probing. The full candidate table follows: `n` then n
+ * (engine, variant, ns) triples (ns as charged by the planner, see
+ * Cand), from which the layer's decision margin is computed. A
+ * winner-only entry (n = 0) is still honored: the session adopts the
+ * recorded winner verbatim.
  *
  * A measured ranking is only meaningful on the kernel set that
  * produced it — a plan probed on an AVX-512 VNNI host misfires on a
  * scalar-kernel host — so deserialize() rejects any input whose
  * signature differs from signature() (leaving the in-memory cache
  * untouched), forcing a re-probe instead of applying a stale plan.
- * Older v1/v2/v3 files are rejected the same way (v3 predates both
- * the F6 candidate and the conversion-cost fields, so its rankings
- * are incomplete for this candidate space).
+ * Older v1–v4 files are rejected the same way (v4 entries carry
+ * layout-conversion costs for a planner that no longer exists, and
+ * their tables rank engines that no longer serve). Text that does
+ * not end in '\n' is rejected too: it is a file cut short, whose
+ * last number may have lost digits.
  *
  * Thread-safe: sessions built concurrently may share one instance.
  */
@@ -81,8 +76,7 @@ class PlanCache
         /**
          * The time the planner charges this candidate, ns: its best
          * probe round, or the race leader's best round when the
-         * candidate tied the leader (settleRace, runtime/session.hh),
-         * so the chain DP and later hits make the race's choice.
+         * candidate tied the leader (settleRace, runtime/session.hh).
          */
         std::uint64_t ns = 0;
     };
@@ -102,24 +96,10 @@ class PlanCache
         std::uint64_t cacheMisses = 0;
 
         /**
-         * Measured layout-conversion costs, ns (0 = unmeasured):
-         * NCHW↔NCHWc8 at the layer's input shape and at its output
-         * shape. The chain DP charges these on seams between
-         * adjacent layers whose layouts disagree and on chain
-         * ingress/egress (the boundary between layers i-1 and i is
-         * one shape — i-1's output is i's input — so either
-         * neighbor's measurement of it applies).
-         */
-        std::uint64_t inToBlockedNs = 0;
-        std::uint64_t inToNchwNs = 0;
-        std::uint64_t outToBlockedNs = 0;
-        std::uint64_t outToNchwNs = 0;
-
-        /**
          * The full candidate table the race measured, winner
-         * included. Empty on winner-only entries (hand-seeded or
-         * pre-v4 provenance): the session then adopts the winner
-         * verbatim and the chain DP treats the layer as fixed.
+         * included. Empty on winner-only entries (hand-seeded): the
+         * session then adopts the winner verbatim and reports no
+         * margin.
          */
         std::vector<Cand> table;
 
@@ -176,14 +156,22 @@ class PlanCache
      * Merge serialize() output into the cache (parsed entries win
      * per key, existing entries for other keys survive — a shared
      * in-process cache never loses valid measurements to a load).
-     * False with the cache UNCHANGED on a malformed line or a stale
-     * header (wrong version or kernel-table signature): the affected
-     * layers simply re-probe.
+     * False with the cache UNCHANGED on a malformed line, text that
+     * does not end in '\n', or a stale header (wrong version or
+     * kernel-table signature): the affected layers simply re-probe.
      */
     bool deserialize(const std::string &text);
 
-    /** File convenience wrappers; false on I/O or parse failure. */
+    /** Load a file through deserialize(); false on I/O or parse failure. */
     bool loadFile(const std::string &path);
+
+    /**
+     * Write serialize() to a uniquely named temporary file in the
+     * same directory, then rename() it over `path`, so a concurrent
+     * loadFile() sees the old file or the new one, never a prefix.
+     * False on any failure, with the temporary file removed and
+     * `path` untouched.
+     */
     bool saveFile(const std::string &path) const;
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -76,25 +75,6 @@ seededVariant(const ConvLayerDesc &d, bool quantized, int winogradBits)
     if (fits(WinoVariant::F4, 4, 16))
         return WinoVariant::F4;
     return WinoVariant::F2;
-}
-
-/**
- * Shape-seeded starting engine: wide-channel layers start on the
- * NCHWc8 blocked flavor of their family (the c-block only pays off
- * once there are whole blocks to vectorize over); narrow layers keep
- * the configured default. Like the variant seed, this only picks the
- * incumbent — the race still measures everything.
- */
-ConvEngine
-seededEngine(const ConvLayerDesc &d, ConvEngine engine)
-{
-    if (d.cin < 16)
-        return engine;
-    if (engine == ConvEngine::WinogradFp32)
-        return ConvEngine::WinogradBlocked;
-    if (engine == ConvEngine::WinogradInt8)
-        return ConvEngine::WinogradBlockedInt8;
-    return engine;
 }
 
 /**
@@ -237,13 +217,11 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         // when the session's default path is quantized, so quantized
         // sessions stay quantized end to end.
         const bool quantizedDefault =
-            cfg.defaultEngine == ConvEngine::WinogradInt8 ||
             cfg.defaultEngine == ConvEngine::WinogradBlockedInt8 ||
             cfg.defaultEngine == ConvEngine::Im2colInt8;
-        const ConvEngine fallback =
-            quantizedDefault && cfg.int8Fallback
-                ? ConvEngine::Im2colInt8
-                : ConvEngine::Im2col;
+        const ConvEngine fallback = quantizedDefault
+                                        ? ConvEngine::Im2colInt8
+                                        : ConvEngine::Im2col;
         ConvEngine engine =
             d.winogradEligible() ? cfg.defaultEngine : fallback;
         if (auto it = cfg.layerEngines.find(d.name);
@@ -301,8 +279,7 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     // layer; a session with none skips it entirely.
     std::size_t calEnd = 0;
     for (std::size_t i = 0; i < layers_.size(); ++i)
-        if (layers_[i].engine == ConvEngine::WinogradInt8 ||
-            layers_[i].engine == ConvEngine::WinogradBlockedInt8 ||
+        if (layers_[i].engine == ConvEngine::WinogradBlockedInt8 ||
             layers_[i].engine == ConvEngine::Im2colInt8)
             calEnd = i + 1;
     TensorD cal;
@@ -327,58 +304,25 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         cache->loadFile(cfg_.planCachePath);
     const std::uint64_t cacheRev0 = cache->revision();
 
-    // Selection state retained across the layer loop for the
-    // chain-aware layout DP: each raced layer's measured candidate
-    // table, the NCHW↔NCHWc8 conversion costs at its boundary
-    // shapes, and the calibration set needed to re-prepare a layer
-    // when the joint plan overrides its per-layer argmin.
-    struct PlanState
-    {
-        bool raced = false;
-        std::vector<PlanCache::Cand> cands;
-        std::uint64_t inToBlockedNs = 0;
-        std::uint64_t inToNchwNs = 0;
-        std::uint64_t outToBlockedNs = 0;
-        std::uint64_t outToNchwNs = 0;
-        std::vector<TensorD> calSet;
-        /// The race's shared calibration statistics, kept alive so a
-        /// DP re-prepare hits the same cached passes instead of
-        /// recomputing them (points into calSet above — stable, the
-        /// plans vector is never resized).
-        std::unique_ptr<CalibrationCache> calCache;
-    };
-    std::vector<PlanState> plans(layers_.size());
-
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         Layer &layer = layers_[i];
 
         // ConvEngine-auto policy membership is decided up front so
-        // the shape seed can steer which candidate is prepared first
-        // (and wins near-ties): raced layers start on the variant/engine
-        // the layer's geometry suggests instead of blindly on the
-        // configured default. The race still measures the full set,
-        // so the seed is free when right and measured away when
-        // wrong. Non-raced layers are untouched — without autoSelect
-        // every layer reports the configured variant.
-        const bool fpRace =
-            layer.engine == ConvEngine::WinogradFp32 ||
-            layer.engine == ConvEngine::WinogradBlocked;
+        // the shape seed can steer which variant is prepared first
+        // (and wins near-ties): raced layers start on the variant the
+        // layer's geometry suggests instead of blindly on the
+        // configured one. The race still measures the full set, so
+        // the seed is free when right and measured away when wrong.
+        // Non-raced layers are untouched — without autoSelect every
+        // layer reports the configured variant.
+        const bool fpRace = layer.engine == ConvEngine::WinogradBlocked;
         const bool quantRace =
-            layer.engine == ConvEngine::WinogradInt8 ||
             layer.engine == ConvEngine::WinogradBlockedInt8;
         const bool raced =
             cfg.autoSelect && !pinned[i] && (fpRace || quantRace);
-        if (raced && cfg.shapeSeed) {
+        if (raced)
             layer.variant = seededVariant(layer.desc, quantRace,
                                           cfg.quant.winogradBits);
-            const ConvEngine se =
-                seededEngine(layer.desc, layer.engine);
-            if (se != layer.engine &&
-                registry.get(se)->supports(layer.desc)) {
-                layer.engine = se;
-                layer.backend = registry.get(se);
-            }
-        }
 
         // The candidate set a race draws from — and the only cached
         // decisions (winner and table rows) a layer will adopt: a
@@ -391,24 +335,26 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             bool member;
             if (fpRace)
                 member = e == ConvEngine::Im2col ||
-                         e == ConvEngine::WinogradFp32 ||
                          e == ConvEngine::WinogradBlocked ||
                          (cfg.raceF16 &&
                           e == ConvEngine::WinogradBlockedF16);
             else
                 member = e == ConvEngine::Im2colInt8 ||
-                         ((e == ConvEngine::WinogradInt8 ||
-                           e == ConvEngine::WinogradBlockedInt8) &&
+                         (e == ConvEngine::WinogradBlockedInt8 &&
                           winoInt8Eligible(v, cfg.quant.winogradBits,
                                            layer.desc.cin));
             return member && registry.get(e)->supports(layer.desc);
         };
 
+        // The raced layer's candidate table, as measured or cached:
+        // the source of its decision margin.
+        std::vector<PlanCache::Cand> table;
+
         // A cached (or memoized) decision applies a previously
-        // measured plan — winner, candidate table and conversion
-        // costs — without re-running the probe. It is adopted before
-        // prepare(), so the layer is prepared once, with its own
-        // weights and calibration.
+        // measured plan — winner and candidate table — without
+        // re-running the probe. It is adopted before prepare(), so
+        // the layer is prepared once, with its own weights and
+        // calibration.
         bool applied = false;
         std::string planKey;
         if (raced) {
@@ -445,18 +391,9 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                     .counter(memoOnly ? "autoselect.memo_hit"
                                       : "autoselect.cache_hit")
                     .inc();
-                // A cached candidate table (and conversion costs)
-                // re-enters the chain DP with zero re-measurement; a
-                // winner-only entry (empty or fully filtered table)
-                // is adopted verbatim and stays fixed in the DP.
-                plans[i].inToBlockedNs = hit.inToBlockedNs;
-                plans[i].inToNchwNs = hit.inToNchwNs;
-                plans[i].outToBlockedNs = hit.outToBlockedNs;
-                plans[i].outToNchwNs = hit.outToNchwNs;
                 for (const PlanCache::Cand &cc : hit.table)
                     if (raceable(cc.engine, cc.variant))
-                        plans[i].cands.push_back(cc);
-                plans[i].raced = plans[i].cands.size() > 1;
+                        table.push_back(cc);
             }
         }
 
@@ -473,18 +410,14 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             obs::Registry::global()
                 .counter("session.fused_epilogues")
                 .inc();
-        // The calibration set lives in the plan state (not a loop
-        // local) so the chain DP can re-prepare a quantized layer
-        // after the loop has propagated `cal` past it.
-        std::vector<TensorD> &calSet = plans[i].calSet;
+        std::vector<TensorD> calSet;
         // Shared calibration statistics for every prepare() of this
-        // layer: autoSelect races up to five quantized candidates,
+        // layer: autoSelect races up to three quantized candidates,
         // and without the cache each one would redo the abs-max,
         // fake-quantization, and tap-maxima passes over the same
-        // calibration set (~13 passes per layer instead of 4).
-        // Results are bit-identical with or without it.
-        plans[i].calCache = std::make_unique<CalibrationCache>(&calSet);
-        CalibrationCache &layerCal = *plans[i].calCache;
+        // calibration set. Results are bit-identical with or without
+        // it.
+        CalibrationCache layerCal(&calSet);
         if (i < calEnd) {
             calSet.push_back(cal);
             build.calibration = &calSet;
@@ -496,23 +429,17 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
 
         // ConvEngine-auto policy: race this layer's assigned engine
         // against the rest of its candidate set, keeping the fastest
-        // measured candidate — the policy picks engine, Winograd
-        // variant and activation layout together. FP Winograd layers
-        // race im2col and every Winograd variant (F2/F4/F6) of the
-        // NCHW and NCHWc8-blocked FP backends; quantized Winograd
-        // layers race the quantized counterparts (NCHW int-winograd,
-        // blocked int-winograd — variants clamped by the bitwidth
-        // model's int8 eligibility gate, which excludes F6 — and
-        // im2col-int8), never an FP engine, which would silently
-        // drop the quantization the config asked for. Blocked
-        // candidates are timed on a blocked probe — the steady-state
-        // input layout propagation hands them inside a blocked
-        // chain. Boundary conversions are not charged to the layer
-        // here; the probe also measures the NCHW↔NCHWc8 conversion
-        // costs at the layer's boundary shapes so the chain DP below
-        // can charge them on the seams where they actually occur.
-        // Ineligible layers never reach here with a raceable engine,
-        // so they always stay on their fallback.
+        // measured candidate — the policy picks engine and Winograd
+        // variant together. FP Winograd layers race im2col and the
+        // blocked FP engine under every Winograd variant (F2/F4/F6);
+        // quantized Winograd layers race im2col-int8 and the blocked
+        // int8 engine under each variant the bitwidth model's int8
+        // eligibility gate admits (never F6) — never an FP engine,
+        // which would silently drop the quantization the config asked
+        // for. Blocked candidates are timed on a blocked probe — the
+        // steady-state input layout propagation hands them inside a
+        // blocked chain. Ineligible layers never reach here with a
+        // raceable engine, so they always stay on their fallback.
         if (raced && !applied) {
             // Counts probed layers (cache misses, stale entries the
             // raceable() guard rejected, and first sightings of a
@@ -558,7 +485,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             };
             if (fpRace) {
                 for (WinoVariant v : kAllWinoVariants) {
-                    addCandidate(ConvEngine::WinogradFp32, v);
                     addCandidate(ConvEngine::WinogradBlocked, v);
                     if (cfg.raceF16)
                         addCandidate(ConvEngine::WinogradBlockedF16, v);
@@ -572,7 +498,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                     if (!winoInt8Eligible(v, cfg.quant.winogradBits,
                                           layer.desc.cin))
                         continue;
-                    addCandidate(ConvEngine::WinogradInt8, v);
                     addCandidate(ConvEngine::WinogradBlockedInt8, v);
                 }
                 addCandidate(ConvEngine::Im2colInt8, cfg.variant);
@@ -650,51 +575,11 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             layer.planProbeNs = bestNs[best];
             layer.planCounters = bestC[best];
 
-            // Record the full table for the chain DP (and the cache):
-            // every candidate at the time settleRace charges it, in
-            // race order.
-            plans[i].raced = cands.size() > 1;
+            // Record the full table for the cache: every candidate
+            // at the time settleRace charges it, in race order.
             for (std::size_t ci = 0; ci < cands.size(); ++ci)
-                plans[i].cands.push_back({cands[ci].engine,
-                                          cands[ci].variant,
-                                          verdict.chargedNs[ci]});
-
-            // Seam conversion costs on the same probe data (best of
-            // 3): NCHW↔NCHWc8 at the input shape and at the output
-            // shape. The chain DP charges these wherever adjacent
-            // picks disagree on layout; the boundary between two
-            // layers is one shape, so a neighbor missing its own
-            // measurement borrows this one.
-            const auto timeConvNs = [](auto &&fn) {
-                using clock = std::chrono::steady_clock;
-                std::uint64_t best = ~std::uint64_t{0};
-                for (int r = 0; r < 3; ++r) {
-                    const auto t0 = clock::now();
-                    fn();
-                    const auto t1 = clock::now();
-                    best = std::min(
-                        best, static_cast<std::uint64_t>(
-                                  std::chrono::duration_cast<
-                                      std::chrono::nanoseconds>(t1 - t0)
-                                      .count()));
-                }
-                return best;
-            };
-            TensorD cvtBlocked(blockedShape(probe.shape()));
-            TensorD cvtNchw(probe.shape());
-            plans[i].inToBlockedNs =
-                timeConvNs([&] { nchwToBlocked(probe, cvtBlocked); });
-            plans[i].inToNchwNs =
-                timeConvNs([&] { blockedToNchw(cvtBlocked, cvtNchw); });
-            TensorD outNchw({std::max<std::size_t>(cfg.autoSelectBatch, 1),
-                             layer.desc.cout, layer.desc.outHeight(),
-                             layer.desc.outWidth()});
-            probeRng.fillNormal(outNchw.storage(), 0.0, 1.0);
-            TensorD outBlocked(blockedShape(outNchw.shape()));
-            plans[i].outToBlockedNs =
-                timeConvNs([&] { nchwToBlocked(outNchw, outBlocked); });
-            plans[i].outToNchwNs =
-                timeConvNs([&] { blockedToNchw(outBlocked, outNchw); });
+                table.push_back({cands[ci].engine, cands[ci].variant,
+                                 verdict.chargedNs[ci]});
 
             PlanCache::Decision d;
             d.engine = layer.engine;
@@ -706,12 +591,28 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                 d.cacheRefs = layer.planCounters.cacheRefs;
                 d.cacheMisses = layer.planCounters.cacheMisses;
             }
-            d.inToBlockedNs = plans[i].inToBlockedNs;
-            d.inToNchwNs = plans[i].inToNchwNs;
-            d.outToBlockedNs = plans[i].outToBlockedNs;
-            d.outToNchwNs = plans[i].outToNchwNs;
-            d.table = plans[i].cands;
+            d.table = table;
             cache->store(planKey, d);
+        }
+
+        // Decision margin from the recorded table: how far the
+        // fastest other candidate trails the pick.
+        if (table.size() > 1) {
+            const PlanCache::Cand *pick = nullptr;
+            std::uint64_t other = ~std::uint64_t{0};
+            for (const PlanCache::Cand &c : table) {
+                if (!pick && c.engine == layer.engine &&
+                    c.variant == layer.variant)
+                    pick = &c;
+                else
+                    other = std::min(other, c.ns);
+            }
+            if (pick && pick->ns > 0 && other != ~std::uint64_t{0})
+                layer.planMarginPct =
+                    100.0 *
+                    (static_cast<double>(other) -
+                     static_cast<double>(pick->ns)) /
+                    static_cast<double>(pick->ns);
         }
 
         // Layout plan: read the final backend's contract once; the
@@ -727,182 +628,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             // included, whether fused or separate at run time.
             applyEpilogueNchw(cal, layer.epilogue);
         }
-    }
-
-    // Chain-aware layout planning: the per-layer argmin applied above
-    // is blind to seams — a blocked candidate that wins its layer by
-    // less than the NCHW↔NCHWc8 conversions it forces on its
-    // neighbors loses net. Re-decide the raced layers jointly with a
-    // Viterbi pass over the measured candidate tables: node cost is
-    // the candidate's probe time, edge cost the measured conversion
-    // at the boundary shape wherever consecutive picks disagree on
-    // layout, plus chain ingress/egress (the session's outer contract
-    // is NCHW on both ends). Fixed layers (pinned, non-raced,
-    // winner-only cache entries) participate as single-candidate
-    // nodes so their layout still shapes the seams around them.
-    // Everything here is arithmetic over numbers already measured —
-    // a fully cached build decides the whole chain without a single
-    // timed run. (The f16 engine's widen/narrow storage seam is not
-    // modeled; it rides the blocked layout.)
-    if (cfg.autoSelect && cfg.chainDp && !layers_.empty()) {
-        struct Node
-        {
-            ConvEngine engine;
-            WinoVariant variant;
-            double ns;
-            ActLayout in;
-            ActLayout out;
-        };
-        const std::size_t L = layers_.size();
-        std::vector<std::vector<Node>> nodes(L);
-        for (std::size_t i = 0; i < L; ++i) {
-            if (plans[i].raced) {
-                for (const PlanCache::Cand &c : plans[i].cands) {
-                    const ConvBackend &b = *registry.get(c.engine);
-                    nodes[i].push_back(
-                        {c.engine, c.variant,
-                         static_cast<double>(c.ns), b.inputLayout(),
-                         b.outputLayout()});
-                }
-            } else {
-                nodes[i].push_back({layers_[i].engine,
-                                    layers_[i].variant, 0.0,
-                                    layers_[i].backend->inputLayout(),
-                                    layers_[i].backend->outputLayout()});
-            }
-        }
-        // The boundary between layers i-1 and i is one shape (i-1's
-        // output is i's input), so prefer the upstream layer's
-        // output-shape measurement and borrow the downstream layer's
-        // input-shape one when the upstream never measured.
-        const auto seam = [&](std::size_t i, ActLayout prod,
-                              ActLayout cons) -> double {
-            if (prod == cons)
-                return 0.0;
-            const PlanState &up = plans[i - 1];
-            const PlanState &dn = plans[i];
-            const bool useUp =
-                up.outToBlockedNs != 0 || up.outToNchwNs != 0;
-            const std::uint64_t c =
-                cons == ActLayout::NCHWc8
-                    ? (useUp ? up.outToBlockedNs : dn.inToBlockedNs)
-                    : (useUp ? up.outToNchwNs : dn.inToNchwNs);
-            return static_cast<double>(c);
-        };
-        std::vector<std::vector<double>> cost(L);
-        std::vector<std::vector<std::size_t>> from(L);
-        for (std::size_t b = 0; b < nodes[0].size(); ++b) {
-            const Node &n = nodes[0][b];
-            cost[0].push_back(
-                n.ns + (n.in == ActLayout::NCHWc8
-                            ? static_cast<double>(
-                                  plans[0].inToBlockedNs)
-                            : 0.0));
-            from[0].push_back(0);
-        }
-        for (std::size_t i = 1; i < L; ++i) {
-            for (std::size_t b = 0; b < nodes[i].size(); ++b) {
-                const Node &n = nodes[i][b];
-                double bestCost =
-                    std::numeric_limits<double>::infinity();
-                std::size_t bestFrom = 0;
-                for (std::size_t a = 0; a < nodes[i - 1].size();
-                     ++a) {
-                    const double t = cost[i - 1][a] +
-                                     seam(i, nodes[i - 1][a].out,
-                                          n.in);
-                    if (t < bestCost) {
-                        bestCost = t;
-                        bestFrom = a;
-                    }
-                }
-                cost[i].push_back(bestCost + n.ns);
-                from[i].push_back(bestFrom);
-            }
-        }
-        std::size_t pickLast = 0;
-        double bestTotal = std::numeric_limits<double>::infinity();
-        for (std::size_t b = 0; b < nodes[L - 1].size(); ++b) {
-            const double t =
-                cost[L - 1][b] +
-                (nodes[L - 1][b].out == ActLayout::NCHWc8
-                     ? static_cast<double>(plans[L - 1].outToNchwNs)
-                     : 0.0);
-            if (t < bestTotal) {
-                bestTotal = t;
-                pickLast = b;
-            }
-        }
-        std::vector<std::size_t> pick(L, 0);
-        pick[L - 1] = pickLast;
-        for (std::size_t i = L - 1; i > 0; --i)
-            pick[i - 1] = from[i][pick[i]];
-        for (std::size_t i = 0; i < L; ++i) {
-            if (!plans[i].raced)
-                continue;
-            const Node &n = nodes[i][pick[i]];
-            Layer &layer = layers_[i];
-            if (n.engine == layer.engine &&
-                n.variant == layer.variant)
-                continue;
-            // The joint plan overrode this layer's local argmin:
-            // re-prepare the chosen candidate from the retained
-            // build materials. planSource stays what decided the
-            // table ("probed"/"cache") — no new measurement ran.
-            obs::Registry::global()
-                .counter("autoselect.chain_dp_override")
-                .inc();
-            std::shared_ptr<const ConvBackend> b =
-                registry.get(n.engine);
-            LayerBuild rb;
-            rb.params = layer.params;
-            rb.variant = n.variant;
-            rb.quant = cfg.quant;
-            if (cfg.fuseEpilogues)
-                rb.epilogue = layer.epilogue;
-            if (!plans[i].calSet.empty()) {
-                rb.calibration = &plans[i].calSet;
-                rb.calCache = plans[i].calCache.get();
-            }
-            layer.prepared =
-                b->prepare(layer.desc, weights[i], rb);
-            twq_assert(layer.prepared,
-                       "backend returned no prepared state");
-            layer.engine = n.engine;
-            layer.variant = n.variant;
-            layer.backend = std::move(b);
-            layer.layout = {layer.backend->inputLayout(),
-                            layer.backend->outputLayout()};
-            // The table's charged time: a row tied with its race's
-            // leader carries the leader's best round, not its own.
-            layer.planProbeNs = plans[i].cands[pick[i]].ns;
-            // The provenance counters described the local winner's
-            // probe, not this pick's; drop rather than misattribute.
-            layer.planCounters = obs::PerfCounters{};
-        }
-    }
-
-    // Decision margin per raced layer, from its recorded table: how
-    // far the fastest other candidate trails the final pick.
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        if (!plans[i].raced)
-            continue;
-        Layer &layer = layers_[i];
-        const PlanCache::Cand *pick = nullptr;
-        std::uint64_t other = ~std::uint64_t{0};
-        for (const PlanCache::Cand &c : plans[i].cands) {
-            if (!pick && c.engine == layer.engine &&
-                c.variant == layer.variant)
-                pick = &c;
-            else
-                other = std::min(other, c.ns);
-        }
-        if (pick && pick->ns > 0 && other != ~std::uint64_t{0})
-            layer.planMarginPct =
-                100.0 *
-                (static_cast<double>(other) -
-                 static_cast<double>(pick->ns)) /
-                static_cast<double>(pick->ns);
     }
 
     // Persist newly measured plans so the next build (a restarted

@@ -42,9 +42,10 @@ struct SessionConfig
     /**
      * Engine for winograd-eligible layers; ineligible layers (strided
      * or non-3x3) always run im2col, mirroring the paper's
-     * accelerator.
+     * accelerator — im2col-int8 when this engine is quantized, so a
+     * quantized session is quantized end to end.
      */
-    ConvEngine defaultEngine = ConvEngine::WinogradFp32;
+    ConvEngine defaultEngine = ConvEngine::WinogradBlocked;
 
     /** Per-layer overrides by layer name (after repeat expansion). */
     std::map<std::string, ConvEngine> layerEngines;
@@ -74,19 +75,22 @@ struct SessionConfig
 
     /**
      * Pick the execution plan per layer from a measured
-     * microbenchmark instead of trusting defaultEngine blindly: at
-     * session build each eligible FP layer is prepared for im2col,
-     * for winograd-fp32 under every transform variant (F2/F4/F6),
-     * and for the NCHWc8 blocked-layout winograd under every
-     * variant, timed on a sample batch (blocked candidates on a
-     * blocked probe), and the fastest candidate wins — the policy
-     * picks the engine, the Winograd variant and the activation
-     * layout together. Quantized Winograd layers race their own
-     * quantized candidate set the same way (NCHW int-winograd,
-     * blocked int-winograd, im2col-int8 — variants clamped by the
-     * bitwidth model's int8 eligibility gate, which excludes F6) —
-     * never an FP engine, which would silently drop the configured
-     * quantization. Ineligible layers still always land on their
+     * microbenchmark instead of trusting defaultEngine blindly. At
+     * session build each eligible layer on winograd-blocked is
+     * prepared for im2col and for winograd-blocked under F2, F4 and
+     * F6 (four candidates), timed on a sample batch (blocked
+     * candidates on a blocked probe), and the fastest candidate wins
+     * — the policy picks the engine, and with it the activation
+     * layout, and the Winograd variant together. Layers on
+     * winograd-blocked-int8 race their own quantized set the same
+     * way: im2col-int8 and winograd-blocked-int8 under each variant
+     * the bitwidth model's int8 eligibility gate admits (F2 and F4
+     * at 16 channels; never F6) — never an FP engine, which would
+     * silently drop the configured quantization. Each race starts on
+     * the variant the layer's shape suggests (the largest whose
+     * output tile divides the layer's output and whose channel width
+     * amortizes it, à la TVM's tile-size inference), which wins
+     * near-ties. Ineligible layers still always land on their
      * im2col fallback, and explicit layerEngines overrides are
      * honored unmeasured. Each distinct plan key
      * (PlanCache::layerKey) races once per build: later identical
@@ -98,32 +102,6 @@ struct SessionConfig
 
     /** Batch size of the autoSelect timing probe. */
     std::size_t autoSelectBatch = 8;
-
-    /**
-     * Seed each raced layer's incumbent candidate from its shape
-     * before measuring (à la TVM's tile-size inference): prefer the
-     * largest variant whose output tile divides the layer's output
-     * exactly and whose channel width amortizes the wider transform,
-     * and start wide-channel layers on the blocked engine. The race
-     * still measures the full candidate set — the seed only decides
-     * which candidate is prepared first and wins near-ties — so a
-     * good seed costs nothing and a bad one is measured away.
-     */
-    bool shapeSeed = true;
-
-    /**
-     * Chain-aware layout planning: instead of applying each raced
-     * layer's per-layer argmin independently, run a joint dynamic
-     * program over adjacent layers' measured candidate tables whose
-     * edges charge the measured NCHW↔NCHWc8 conversion cost wherever
-     * consecutive picks disagree on layout (plus chain ingress and
-     * egress, which are NCHW on both ends). A blocked candidate that
-     * wins its layer by less than the seam it would create therefore
-     * loses the chain — the per-layer argmin's known blind spot. Off,
-     * the legacy independent argmin applies (kept for A/B
-     * benchmarking; the bench matrix reports both).
-     */
-    bool chainDp = true;
 
     /**
      * Optional cache of measured autoSelect plans, shared across
@@ -150,14 +128,6 @@ struct SessionConfig
      * instead of misfiring.
      */
     std::string planCachePath;
-
-    /**
-     * Route winograd-ineligible layers to the int8 im2col baseline
-     * engine (instead of FP im2col) when defaultEngine is
-     * winograd-int8, so a quantized session is quantized end to end
-     * — the paper's apples-to-apples fallback.
-     */
-    bool int8Fallback = true;
 
     /** Quantization settings for int8 layers. */
     IntWinogradConfig quant;
@@ -216,8 +186,7 @@ struct LayerPlanInfo
     /**
      * Decision margin from the layer's recorded candidate table:
      * 100 × (fastest other candidate − pick) / pick. 0 when the
-     * near-tie rule decided; negative when the chain DP took a
-     * slower candidate to save layout conversions. Empty for layers
+     * near-tie rule decided, positive otherwise. Empty for layers
      * that did not race and for winner-only cache entries.
      */
     std::optional<double> marginPct;
@@ -244,8 +213,7 @@ struct RaceVerdict
  * the leader's second-best round, so one preempted round cannot
  * widen the tie. The first tied candidate in race order wins, and
  * every tied candidate is charged the leader's best round, so the
- * chain DP and later plan-cache hits over the recorded table make
- * the same choice.
+ * recorded table reads as the race decided (a margin of 0).
  */
 RaceVerdict
 settleRace(const std::vector<std::vector<std::uint64_t>> &roundsNs);

@@ -4,8 +4,6 @@
 #include <type_traits>
 
 #include "common/logging.hh"
-#include "obs/perf.hh"
-#include "obs/trace.hh"
 
 namespace twq
 {
@@ -403,8 +401,7 @@ winogradScatter(const Tensor<T> &input, WinoVariant v, std::size_t pad,
 template <typename T>
 void
 winogradTapGemm(const WinogradTapWeights<T> &w, const Tensor<T> &U,
-                Tensor<T> &M, gemm::ParallelRunner *runner,
-                gemm::PackPool *packs)
+                Tensor<T> &M, gemm::ParallelRunner *runner)
 {
     twq_assert(U.rank() == 3 && U.dim(1) == w.cin,
                "scatter buffer does not match tap weights");
@@ -415,8 +412,6 @@ winogradTapGemm(const WinogradTapWeights<T> &w, const Tensor<T> &U,
     const Shape want{tt, w.cout, tiles};
     if (M.shape() != want)
         M = Tensor<T>(want);
-    if (!runner)
-        packs = nullptr; // lanes are only exclusive under a runner
     // Shard tap x column-block: taps alone (16 for F2) under-fill
     // many-core pools, so each tap's product additionally splits into
     // P column blocks. Column blocks are bit-identical to the whole
@@ -425,19 +420,17 @@ winogradTapGemm(const WinogradTapWeights<T> &w, const Tensor<T> &U,
     gemm::runTapColBlocks(
         runner, tt, tiles, gemm::kNr,
         [&](std::size_t k, std::size_t j0, std::size_t jn,
-            std::size_t lane) {
+            std::size_t) {
             gemm::gemmCols(w.tap(k),
                            U.data() + k * w.cin * tiles + j0,
                            M.data() + k * w.cout * tiles + j0, w.cout,
-                           w.cin, jn, tiles, tiles,
-                           gemm::lanePack<T>(packs, lane));
+                           w.cin, jn, tiles, tiles);
         });
 }
 
 template <typename T>
 void
-winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
-               const T *bias, bool relu)
+winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out)
 {
     const WinoSpec spec = winoSpec(v);
     const std::size_t m = spec.m;
@@ -462,7 +455,6 @@ winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
                 T *plane = out.data() + (in * cout + oc) * ho * wo;
                 const T *srcc = Y.data() + (k * cout + oc) * tiles +
                                 in * tilesY * tilesX;
-                const T bc = bias ? bias[oc] : T{};
                 for (std::size_t ty = 0; ty < tilesY; ++ty) {
                     const std::size_t oy = ty * m + j1;
                     if (oy >= ho)
@@ -471,14 +463,8 @@ winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
                     const T *src = srcc + ty * tilesX;
                     for (std::size_t tx = 0; tx < tilesX; ++tx) {
                         const std::size_t ox = tx * m + j2;
-                        if (ox < wo) {
-                            T val = src[tx];
-                            if (bias)
-                                val += bc;
-                            if (relu && val < T{})
-                                val = T{};
-                            dst[ox] = val;
-                        }
+                        if (ox < wo)
+                            dst[ox] = src[tx];
                     }
                 }
             }
@@ -489,7 +475,7 @@ winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
 template <typename T>
 void
 winogradGather(const Tensor<T> &M, WinoVariant v, Tensor<T> &Y,
-               Tensor<T> &out, const T *bias, bool relu)
+               Tensor<T> &out)
 {
     const WinoSpec spec = winoSpec(v);
     const std::size_t mm = spec.m * spec.m;
@@ -500,51 +486,7 @@ winogradGather(const Tensor<T> &M, WinoVariant v, Tensor<T> &Y,
     if (Y.shape() != want)
         Y = Tensor<T>(want);
     applyKron(winoOutputKron<T>(v), M.data(), cout * tiles, Y.data());
-    winogradUntile(Y, v, out, bias, relu);
-}
-
-template <typename T>
-void
-conv2dWinogradTiledInto(const Tensor<T> &input,
-                        const WinogradTapWeights<T> &w, std::size_t pad,
-                        Tensor<T> &V, Tensor<T> &U, Tensor<T> &M,
-                        Tensor<T> &Y, Tensor<T> &out,
-                        gemm::ParallelRunner *runner,
-                        gemm::PackPool *packs, const T *bias, bool relu)
-{
-    twq_assert(input.rank() == 4,
-               "conv2dWinogradTiled expects an NCHW input");
-    twq_assert(input.dim(1) == w.cin,
-               "input channels do not match prepared weights");
-    const WinoDims d = winoDims(input.shape(), w.variant, pad);
-    twq_assert(out.rank() == 4 && out.dim(0) == d.n &&
-                   out.dim(1) == w.cout && out.dim(2) == d.ho &&
-                   out.dim(3) == d.wo,
-               "output tensor not pre-shaped for the tiled launch");
-    {
-        TWQ_SPAN("wino.gather");
-        TWQ_STAGE_PERF("wino.gather");
-        winogradGatherTiles(input, w.variant, pad, V);
-    }
-    {
-        TWQ_SPAN("wino.bkron");
-        TWQ_STAGE_PERF("wino.bkron");
-        const Shape want{d.t * d.t, d.cin, d.tiles};
-        if (U.shape() != want)
-            U = Tensor<T>(want);
-        applyKron(winoInputKron<T>(w.variant), V.data(),
-                  d.cin * d.tiles, U.data());
-    }
-    {
-        TWQ_SPAN("wino.tapgemm");
-        TWQ_STAGE_PERF("wino.tapgemm");
-        winogradTapGemm(w, U, M, runner, packs);
-    }
-    {
-        TWQ_SPAN("wino.untile");
-        TWQ_STAGE_PERF("wino.untile");
-        winogradGather(M, w.variant, Y, out, bias, relu);
-    }
+    winogradUntile(Y, v, out);
 }
 
 template <typename T>
@@ -552,10 +494,16 @@ Tensor<T>
 conv2dWinogradTiled(const Tensor<T> &input,
                     const WinogradTapWeights<T> &w, std::size_t pad)
 {
+    twq_assert(input.rank() == 4,
+               "conv2dWinogradTiled expects an NCHW input");
+    twq_assert(input.dim(1) == w.cin,
+               "input channels do not match prepared weights");
     const WinoDims d = winoDims(input.shape(), w.variant, pad);
     Tensor<T> V, U, M, Y;
     Tensor<T> out({d.n, w.cout, d.ho, d.wo});
-    conv2dWinogradTiledInto(input, w, pad, V, U, M, Y, out);
+    winogradScatter(input, w.variant, pad, V, U);
+    winogradTapGemm(w, U, M);
+    winogradGather(M, w.variant, Y, out);
     return out;
 }
 
@@ -616,38 +564,20 @@ template void winogradScatter(const Tensor<double> &, WinoVariant,
                               Tensor<double> &);
 template void winogradTapGemm(const WinogradTapWeights<float> &,
                               const Tensor<float> &, Tensor<float> &,
-                              gemm::ParallelRunner *, gemm::PackPool *);
+                              gemm::ParallelRunner *);
 template void winogradTapGemm(const WinogradTapWeights<double> &,
                               const Tensor<double> &, Tensor<double> &,
-                              gemm::ParallelRunner *, gemm::PackPool *);
+                              gemm::ParallelRunner *);
 template void winogradUntile(const Tensor<float> &, WinoVariant,
-                             Tensor<float> &, const float *, bool);
+                             Tensor<float> &);
 template void winogradUntile(const Tensor<double> &, WinoVariant,
-                             Tensor<double> &, const double *, bool);
+                             Tensor<double> &);
 template void winogradUntile(const Tensor<std::int64_t> &, WinoVariant,
-                             Tensor<std::int64_t> &,
-                             const std::int64_t *, bool);
+                             Tensor<std::int64_t> &);
 template void winogradGather(const Tensor<float> &, WinoVariant,
-                             Tensor<float> &, Tensor<float> &,
-                             const float *, bool);
+                             Tensor<float> &, Tensor<float> &);
 template void winogradGather(const Tensor<double> &, WinoVariant,
-                             Tensor<double> &, Tensor<double> &,
-                             const double *, bool);
-template void conv2dWinogradTiledInto(const Tensor<float> &,
-                                      const WinogradTapWeights<float> &,
-                                      std::size_t, Tensor<float> &,
-                                      Tensor<float> &, Tensor<float> &,
-                                      Tensor<float> &, Tensor<float> &,
-                                      gemm::ParallelRunner *,
-                                      gemm::PackPool *, const float *,
-                                      bool);
-template void
-conv2dWinogradTiledInto(const Tensor<double> &,
-                        const WinogradTapWeights<double> &, std::size_t,
-                        Tensor<double> &, Tensor<double> &,
-                        Tensor<double> &, Tensor<double> &,
-                        Tensor<double> &, gemm::ParallelRunner *,
-                        gemm::PackPool *, const double *, bool);
+                             Tensor<double> &, Tensor<double> &);
 template Tensor<float>
 conv2dWinogradTiled(const Tensor<float> &,
                     const WinogradTapWeights<float> &, std::size_t);

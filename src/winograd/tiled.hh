@@ -310,62 +310,38 @@ void winogradScatter(const Tensor<T> &input, WinoVariant v,
  * GEMM stage: M[k] = W[k] * U[k] for every tap k, with W[k] the
  * [Cout, Cin] tap slice, each product running the blocked gemm core.
  * M is reshaped to [t*t, Cout, P]. The t*t taps are independent: when
- * `runner` is non-null they are sharded across it (pack buffers drawn
- * from `packs` when provided), and when taps alone would under-fill
- * the pool each tap's product is further split into P column blocks
- * (gemm::colShards). Every shard computes the same per-element
- * ascending-k sums it would serially, so parallel execution is
- * bit-identical to serial under any shard plan.
+ * `runner` is non-null they are sharded across it, and when taps
+ * alone would under-fill the pool each tap's product is further split
+ * into P column blocks (gemm::colShards). Every shard computes the
+ * same per-element ascending-k sums it would serially, so parallel
+ * execution is bit-identical to serial under any shard plan.
  */
 template <typename T>
 void winogradTapGemm(const WinogradTapWeights<T> &w, const Tensor<T> &U,
                      Tensor<T> &M,
-                     gemm::ParallelRunner *runner = nullptr,
-                     gemm::PackPool *packs = nullptr);
+                     gemm::ParallelRunner *runner = nullptr);
 
 /**
  * Stage 2 of the gather: write the A-transformed tile rows Y
  * ([m*m, Cout, P]) into the NCHW output (edge tiles clipped). `out`
  * must already have shape [n, Cout, ho, wo].
- *
- * Optional fused epilogue: a non-null `bias` ([Cout]) is added per
- * output channel and `relu` clamps negatives to zero, both applied to
- * each element as it is written — the untile already touches every
- * output exactly once, so the epilogue costs no extra memory pass and
- * is bit-identical to a separate bias/ReLU sweep over the output.
  */
 template <typename T>
-void winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
-                    const T *bias = nullptr, bool relu = false);
+void winogradUntile(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out);
 
 /**
  * Gather stage: A-transform M as Kronecker row passes into Y
- * ([m*m, Cout, P]), then untile into the NCHW output (with the
- * untile's optional fused bias/ReLU epilogue).
+ * ([m*m, Cout, P]), then untile into the NCHW output.
  */
 template <typename T>
 void winogradGather(const Tensor<T> &M, WinoVariant v, Tensor<T> &Y,
-                    Tensor<T> &out, const T *bias = nullptr,
-                    bool relu = false);
+                    Tensor<T> &out);
 
 /**
- * Full tiled Winograd convolution with caller-provided buffers (e.g.
- * ScratchArena slots): V raw tiles, U transformed tiles, M GEMM
- * output, Y back-transformed tiles. `out` must be pre-shaped to
- * [n, Cout, ho, wo]; the buffers are reshaped as needed. A non-null
- * `runner` shards the per-tap GEMMs (see winogradTapGemm). `bias` /
- * `relu` are the untile's fused epilogue (see winogradUntile).
+ * Full tiled Winograd convolution on NCHW: scatter, per-tap GEMM,
+ * gather. The serving runtime runs the NCHWc8 engine
+ * (layout/wino_blocked.hh); this path is its test oracle.
  */
-template <typename T>
-void conv2dWinogradTiledInto(const Tensor<T> &input,
-                             const WinogradTapWeights<T> &w,
-                             std::size_t pad, Tensor<T> &V, Tensor<T> &U,
-                             Tensor<T> &M, Tensor<T> &Y, Tensor<T> &out,
-                             gemm::ParallelRunner *runner = nullptr,
-                             gemm::PackPool *packs = nullptr,
-                             const T *bias = nullptr, bool relu = false);
-
-/** Convenience wrapper allocating its own buffers. */
 template <typename T>
 Tensor<T> conv2dWinogradTiled(const Tensor<T> &input,
                               const WinogradTapWeights<T> &w,
@@ -519,42 +495,21 @@ extern template void winogradScatter(const Tensor<double> &, WinoVariant,
 extern template void winogradTapGemm(const WinogradTapWeights<float> &,
                                      const Tensor<float> &,
                                      Tensor<float> &,
-                                     gemm::ParallelRunner *,
-                                     gemm::PackPool *);
+                                     gemm::ParallelRunner *);
 extern template void winogradTapGemm(const WinogradTapWeights<double> &,
                                      const Tensor<double> &,
                                      Tensor<double> &,
-                                     gemm::ParallelRunner *,
-                                     gemm::PackPool *);
+                                     gemm::ParallelRunner *);
 extern template void winogradUntile(const Tensor<float> &, WinoVariant,
-                                    Tensor<float> &, const float *,
-                                    bool);
+                                    Tensor<float> &);
 extern template void winogradUntile(const Tensor<double> &, WinoVariant,
-                                    Tensor<double> &, const double *,
-                                    bool);
+                                    Tensor<double> &);
 extern template void winogradUntile(const Tensor<std::int64_t> &,
-                                    WinoVariant, Tensor<std::int64_t> &,
-                                    const std::int64_t *, bool);
+                                    WinoVariant, Tensor<std::int64_t> &);
 extern template void winogradGather(const Tensor<float> &, WinoVariant,
-                                    Tensor<float> &, Tensor<float> &,
-                                    const float *, bool);
+                                    Tensor<float> &, Tensor<float> &);
 extern template void winogradGather(const Tensor<double> &, WinoVariant,
-                                    Tensor<double> &, Tensor<double> &,
-                                    const double *, bool);
-extern template void
-conv2dWinogradTiledInto(const Tensor<float> &,
-                        const WinogradTapWeights<float> &, std::size_t,
-                        Tensor<float> &, Tensor<float> &,
-                        Tensor<float> &, Tensor<float> &,
-                        Tensor<float> &, gemm::ParallelRunner *,
-                        gemm::PackPool *, const float *, bool);
-extern template void
-conv2dWinogradTiledInto(const Tensor<double> &,
-                        const WinogradTapWeights<double> &, std::size_t,
-                        Tensor<double> &, Tensor<double> &,
-                        Tensor<double> &, Tensor<double> &,
-                        Tensor<double> &, gemm::ParallelRunner *,
-                        gemm::PackPool *, const double *, bool);
+                                    Tensor<double> &, Tensor<double> &);
 extern template Tensor<float>
 conv2dWinogradTiled(const Tensor<float> &,
                     const WinogradTapWeights<float> &, std::size_t);

@@ -47,9 +47,6 @@ const char *engineKindName(EngineKind k);
 enum class ConvEngine
 {
     Im2col,       ///< im2col + matmul baseline (any kernel/stride)
-    WinogradFp32, ///< FP Winograd computed in fp64 (the name
-                  ///< predates that), 3x3 stride-1 only
-    WinogradInt8, ///< int8 tap-wise quantized Winograd (Section III)
     Im2colInt8,   ///< int8 im2col on the widening GEMM micro-kernel;
                   ///< the quantized path's fallback for layers the
                   ///< Winograd engines cannot execute
@@ -58,23 +55,28 @@ enum class ConvEngine
                      ///< activation layout (src/layout/): unit-stride
                      ///< tile gathers and c-block SIMD lanes; the
                      ///< session keeps its activations blocked
-    WinogradBlockedInt8, ///< int8 tap-wise quantized Winograd on the
-                         ///< NCHWc8 layout: blocked tiles quantize in
-                         ///< place and the per-tap widening GEMM runs
-                         ///< the int16 c-block kernel
-                         ///< (quant/int_wino_blocked.hh)
+    WinogradBlockedInt8, ///< int8 tap-wise quantized Winograd
+                         ///< (Section III) on the NCHWc8 layout:
+                         ///< blocked tiles quantize in place and the
+                         ///< per-tap widening GEMM runs the int16
+                         ///< c-block kernel (quant/int_wino_blocked.hh)
     WinogradBlockedF16, ///< FP Winograd on the NCHWc8 layout with
                         ///< binary16 storage for weights and
                         ///< inter-layer activations, fp32 compute
                         ///< (layout/kernels_f16.hh): halves the
                         ///< bandwidth of the bandwidth-bound
                         ///< gather/untile stages
+
+    /// Old spelling of WinogradBlockedInt8, kept for source
+    /// compatibility with bench/e2e. Not a separate engine: it has no
+    /// name, backend or autoSelect candidate of its own, so new code
+    /// names WinogradBlockedInt8.
+    WinogradInt8 = WinogradBlockedInt8,
 };
 
 /**
- * Name ("im2col" / "winograd-fp32" / "winograd-int8" / "im2col-int8" /
- * "winograd-blocked" / "winograd-blocked-int8" /
- * "winograd-blocked-f16").
+ * Name ("im2col" / "im2col-int8" / "winograd-blocked" /
+ * "winograd-blocked-int8" / "winograd-blocked-f16").
  */
 const char *convEngineName(ConvEngine e);
 
@@ -84,8 +86,6 @@ bool convEngineFromName(const std::string &name, ConvEngine *out);
 /** All serving engines, in declaration order. */
 inline constexpr ConvEngine kAllConvEngines[] = {
     ConvEngine::Im2col,
-    ConvEngine::WinogradFp32,
-    ConvEngine::WinogradInt8,
     ConvEngine::Im2colInt8,
     ConvEngine::WinogradBlocked,
     ConvEngine::WinogradBlockedInt8,

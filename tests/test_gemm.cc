@@ -409,21 +409,22 @@ TEST_P(ParallelVsSerial, SessionRunIsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, ParallelVsSerial,
-    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8,
+    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradBlocked,
+                      ConvEngine::WinogradBlockedInt8,
                       ConvEngine::Im2colInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
           case ConvEngine::Im2col:
             return "Im2col";
-          case ConvEngine::WinogradFp32:
-            return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlocked:
+            return "WinogradBlocked";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
           case ConvEngine::Im2colInt8:
             return "Im2colInt8";
+          default:
+            return "Unknown";
         }
-        return "Unknown";
     });
 
 } // namespace

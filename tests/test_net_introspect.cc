@@ -36,7 +36,7 @@ std::shared_ptr<const Session>
 makeSession()
 {
     SessionConfig scfg;
-    scfg.defaultEngine = ConvEngine::WinogradFp32;
+    scfg.defaultEngine = ConvEngine::WinogradBlocked;
     return std::make_shared<const Session>(microServeNet(10, 6), scfg);
 }
 
@@ -234,7 +234,7 @@ TEST(NetIntrospect, StatuszReportsPlansAndHealthzFlips)
               std::string::npos);
     EXPECT_NE(statusz.find("\"plan_margin_pct\": null"),
               std::string::npos);
-    EXPECT_NE(statusz.find("\"winograd-fp32\""), std::string::npos);
+    EXPECT_NE(statusz.find("\"winograd-blocked\""), std::string::npos);
     EXPECT_GE(numberAfter(statusz, "\"completed\": "), 1u);
 
     const std::string healthz =

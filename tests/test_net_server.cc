@@ -42,7 +42,7 @@ std::shared_ptr<const Session>
 makeSession()
 {
     SessionConfig scfg;
-    scfg.defaultEngine = ConvEngine::WinogradFp32;
+    scfg.defaultEngine = ConvEngine::WinogradBlocked;
     return std::make_shared<const Session>(microServeNet(10, 6), scfg);
 }
 

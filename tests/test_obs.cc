@@ -919,7 +919,7 @@ TEST(ObsCalibration, SharedPassesCountedAndBitIdentical)
 
     if (!obs::kEnabled)
         return; // pass counting needs the real registry
-    // A quantized autoSelect build (5 candidates racing) pays 4
+    // A quantized autoSelect build (3 candidates racing) pays 4
     // passes per calibrated layer through the shared cache.
     obs::Counter &passes =
         obs::Registry::global().counter("quant.calibration_passes");
@@ -929,13 +929,13 @@ TEST(ObsCalibration, SharedPassesCountedAndBitIdentical)
     net.inputRes = d.height;
     net.layers.push_back(d);
     SessionConfig scfg;
-    scfg.defaultEngine = ConvEngine::WinogradInt8;
+    scfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     scfg.autoSelect = true;
     const Session sel(net, scfg);
     const std::uint64_t delta = passes.value() - before;
     EXPECT_EQ(delta, 4u)
         << "expected 1 abs-max + 1 fake-quant + 2 tap-maxima passes "
-           "shared across all five quantized candidates";
+           "shared across all three quantized candidates";
 }
 
 // ---------------------------------------------------------- logging

@@ -176,31 +176,32 @@ TEST_P(BatchedVsSequential, ServerResponsesAreBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, BatchedVsSequential,
-    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8),
+    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradBlocked,
+                      ConvEngine::WinogradBlockedInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
           case ConvEngine::Im2col:
             return "Im2col";
-          case ConvEngine::WinogradFp32:
-            return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlocked:
+            return "WinogradBlocked";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
+          default:
+            return "Unknown";
         }
-        return "Unknown";
     });
 
 TEST(Session, IneligibleLayersFallBackToIm2col)
 {
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradFp32;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
     const Session session(microServeNet(8, 4), cfg);
     // stem, body.0, body.1 are 3x3 stride-1; down is strided, head is
     // pointwise — both must run im2col regardless of the default.
     ASSERT_EQ(session.layerCount(), 5u);
-    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradFp32);
-    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradFp32);
-    EXPECT_EQ(session.layerEngine(2), ConvEngine::WinogradFp32);
+    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradBlocked);
+    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradBlocked);
+    EXPECT_EQ(session.layerEngine(2), ConvEngine::WinogradBlocked);
     EXPECT_EQ(session.layerEngine(3), ConvEngine::Im2col);
     EXPECT_EQ(session.layerEngine(4), ConvEngine::Im2col);
 }
@@ -208,19 +209,19 @@ TEST(Session, IneligibleLayersFallBackToIm2col)
 TEST(Session, PerLayerEngineOverride)
 {
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradFp32;
-    cfg.layerEngines["body.0"] = ConvEngine::WinogradInt8;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
+    cfg.layerEngines["body.0"] = ConvEngine::WinogradBlockedInt8;
     cfg.layerEngines["body.1"] = ConvEngine::Im2col;
     const Session session(microServeNet(8, 4), cfg);
-    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradFp32);
-    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradInt8);
+    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradBlocked);
+    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradBlockedInt8);
     EXPECT_EQ(session.layerEngine(2), ConvEngine::Im2col);
 }
 
 TEST(Session, AutoSelectKeepsIneligibleLayersOnIm2col)
 {
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradFp32;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
     const Session session(microServeNet(8, 4), cfg);
@@ -234,8 +235,7 @@ TEST(Session, AutoSelectKeepsIneligibleLayersOnIm2col)
     // particular never a quantized engine).
     for (std::size_t i = 0; i < 3; ++i) {
         const ConvEngine e = session.layerEngine(i);
-        EXPECT_TRUE(e == ConvEngine::WinogradFp32 ||
-                    e == ConvEngine::Im2col ||
+        EXPECT_TRUE(e == ConvEngine::Im2col ||
                     e == ConvEngine::WinogradBlocked)
             << "layer " << i << " landed on " << convEngineName(e);
     }
@@ -246,17 +246,17 @@ TEST(Session, AutoSelectHonorsExplicitOverrides)
     SessionConfig cfg;
     cfg.defaultEngine = ConvEngine::Im2col;
     cfg.autoSelect = true;
-    cfg.layerEngines["body.0"] = ConvEngine::WinogradFp32;
+    cfg.layerEngines["body.0"] = ConvEngine::WinogradBlocked;
     const Session session(microServeNet(8, 4), cfg);
     // Pinned layers are taken as-is, not benchmarked away.
-    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradFp32);
+    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradBlocked);
 }
 
 TEST(Session, AutoSelectOutputMatchesReference)
 {
     const NetworkDesc net = microServeNet(8, 4);
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradFp32;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
     const Session session(net, cfg);
@@ -280,7 +280,7 @@ TEST(Session, LayerVariantReflectsConfiguredVariant)
     for (WinoVariant v : {WinoVariant::F2, WinoVariant::F4}) {
         SessionConfig cfg;
         cfg.variant = v;
-        cfg.defaultEngine = ConvEngine::WinogradFp32;
+        cfg.defaultEngine = ConvEngine::WinogradBlocked;
         const Session session(microServeNet(8, 4), cfg);
         for (std::size_t i = 0; i < session.layerCount(); ++i)
             EXPECT_EQ(session.layerVariant(i), v) << "layer " << i;
@@ -298,7 +298,7 @@ TEST(Session, AutoSelectVariantOutputMatchesReference)
     const NetworkDesc net = microServeNet(8, 4);
     SessionConfig cfg;
     cfg.variant = WinoVariant::F4;
-    cfg.defaultEngine = ConvEngine::WinogradFp32;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
     const Session session(net, cfg);
@@ -312,7 +312,7 @@ TEST(Session, AutoSelectVariantOutputMatchesReference)
     for (std::size_t i = 0; i < y.numel(); ++i)
         EXPECT_NEAR(y[i], ref[i], 1e-6);
     for (std::size_t i = 0; i < session.layerCount(); ++i) {
-        if (session.layerEngine(i) != ConvEngine::WinogradFp32)
+        if (session.layerEngine(i) != ConvEngine::WinogradBlocked)
             continue;
         const WinoVariant v = session.layerVariant(i);
         EXPECT_TRUE(v == WinoVariant::F2 || v == WinoVariant::F4 ||
@@ -325,16 +325,11 @@ TEST(Session, Int8FallbackRoutesIneligibleLayers)
     // Under a quantized default, strided/pointwise layers land on the
     // int8 im2col baseline so the session stays quantized end to end.
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradInt8;
+    cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     const Session session(microServeNet(8, 4), cfg);
-    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradInt8);
+    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradBlockedInt8);
     EXPECT_EQ(session.layerEngine(3), ConvEngine::Im2colInt8);
     EXPECT_EQ(session.layerEngine(4), ConvEngine::Im2colInt8);
-
-    cfg.int8Fallback = false; // opting out restores the FP fallback
-    const Session fp(microServeNet(8, 4), cfg);
-    EXPECT_EQ(fp.layerEngine(3), ConvEngine::Im2col);
-    EXPECT_EQ(fp.layerEngine(4), ConvEngine::Im2col);
 }
 
 TEST(Session, Im2colInt8TracksFpWithinQuantizationError)

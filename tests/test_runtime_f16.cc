@@ -244,7 +244,6 @@ TEST(F16Engine, AutoSelectRaceStaysAccurate)
     for (std::size_t i = 0; i < 3; ++i) {
         const ConvEngine e = session.layerEngine(i);
         EXPECT_TRUE(e == ConvEngine::Im2col ||
-                    e == ConvEngine::WinogradFp32 ||
                     e == ConvEngine::WinogradBlocked ||
                     e == ConvEngine::WinogradBlockedF16);
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * End-to-end F4 (F(4x4, 3x3)) coverage through Session and
- * InferenceServer for all three engines. The runtime defaults to F2
+ * InferenceServer for im2col and both blocked Winograd engines. The runtime defaults to F2
  * elsewhere, so these tests pin WinoVariant::F4 and re-state the
  * core serving claims: batched == sequential bit-identical, server
  * responses bit-identical, and engine outputs consistent with the
@@ -111,7 +111,7 @@ TEST_P(F4Runtime, OutputConsistentWithIm2colReference)
     const TensorD y = session.run(input);
     const TensorD ref = reference.run(input);
     ASSERT_EQ(y.shape(), ref.shape());
-    if (GetParam() == ConvEngine::WinogradInt8) {
+    if (GetParam() == ConvEngine::WinogradBlockedInt8) {
         // Quantized inference: close, not equal.
         EXPECT_LT(relativeL2Error(y, ref), 0.5);
     } else {
@@ -123,9 +123,9 @@ TEST_P(F4Runtime, OutputConsistentWithIm2colReference)
 TEST(F4Runtime, IneligibleLayersStillFallBackUnderF4)
 {
     const Session session(microServeNet(8, 4),
-                          f4Config(ConvEngine::WinogradFp32));
+                          f4Config(ConvEngine::WinogradBlocked));
     ASSERT_EQ(session.layerCount(), 5u);
-    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradFp32);
+    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradBlocked);
     EXPECT_EQ(session.layerEngine(3), ConvEngine::Im2col); // strided
     EXPECT_EQ(session.layerEngine(4), ConvEngine::Im2col); // 1x1
     EXPECT_EQ(session.config().variant, WinoVariant::F4);
@@ -133,18 +133,19 @@ TEST(F4Runtime, IneligibleLayersStillFallBackUnderF4)
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, F4Runtime,
-    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8),
+    ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradBlocked,
+                      ConvEngine::WinogradBlockedInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
           case ConvEngine::Im2col:
             return "Im2col";
-          case ConvEngine::WinogradFp32:
-            return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlocked:
+            return "WinogradBlocked";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
+          default:
+            return "Unknown";
         }
-        return "Unknown";
     });
 
 } // namespace

@@ -118,9 +118,8 @@ TEST_P(FusedVsUnfused, BitIdenticalAcrossEnginesAndShapes)
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndShapes, FusedVsUnfused,
     ::testing::Combine(
-        ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
+        ::testing::Values(ConvEngine::Im2col,
                           ConvEngine::WinogradBlocked,
-                          ConvEngine::WinogradInt8,
                           ConvEngine::WinogradBlockedInt8,
                           ConvEngine::Im2colInt8),
         ::testing::Values(16, 9), // even and odd H/W

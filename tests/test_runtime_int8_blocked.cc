@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime-level tests for the NCHWc8 blocked int8 Winograd engine:
- * session output parity with the NCHW int8 engine, layout planning,
+ * backend parity with the NCHW library pipeline, layout planning,
  * batched == sequential and parallel == serial bit-identity, the
  * quantized autoSelect race, the int8 widening GEMM dispatch, and
  * plan-cache signature versioning + auto-persistence.
@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "gemm/gemm.hh"
 #include "models/zoo.hh"
+#include "quant/int_winograd.hh"
 #include "runtime/server.hh"
 #include "tensor/batch.hh"
 
@@ -35,25 +36,49 @@ randomInput(const Shape &shape, std::uint64_t seed)
     return t;
 }
 
-TEST(BlockedInt8Session, MatchesNchwInt8Engine)
+TEST(BlockedInt8Session, BackendMatchesLibraryOracle)
 {
-    // width 4 exercises tail blocks (C % 8 != 0) on every layer.
-    const NetworkDesc net = microServeNet(8, 4);
-    SessionConfig blockedCfg;
-    blockedCfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
-    SessionConfig refCfg;
-    refCfg.defaultEngine = ConvEngine::WinogradInt8;
-    const Session session(net, blockedCfg);
-    const Session reference(net, refCfg);
+    // The serving backend against the NCHW library pipeline
+    // (IntWinogradConv::forward) on the same weights and calibration:
+    // prepare() must hand the quantizer the build's variant and pad.
+    // 4 and 12 channels exercise tail blocks (C % 8 != 0).
+    const auto backend =
+        EngineRegistry::instance().get(ConvEngine::WinogradBlockedInt8);
+    for (const std::size_t c : {std::size_t{4}, std::size_t{12}}) {
+        for (const WinoVariant v : {WinoVariant::F2, WinoVariant::F4}) {
+            ConvLayerDesc d;
+            d.name = "oracle";
+            d.cin = d.cout = c;
+            d.height = d.width = 8;
+            const TensorD w = randomInput({c, c, 3, 3}, 50 + c);
+            const std::vector<TensorD> cal{
+                randomInput({2, c, 8, 8}, 51)};
+            LayerBuild build;
+            build.params = ConvParams{3, 1, 1};
+            build.variant = v;
+            build.calibration = &cal;
+            const auto prep = backend->prepare(d, w, build);
+            IntWinogradConfig q = build.quant;
+            q.variant = v;
+            const IntWinogradConv oracle(w, cal, q);
 
-    const TensorD input = randomInput(session.inputShape(), 52);
-    const TensorD y = session.run(input);
-    const TensorD ref = reference.run(input);
-    ASSERT_EQ(y.shape(), ref.shape());
-    // The integer stages agree exactly; the FP dequant differs only
-    // in FMA contraction order (like the FP blocked engine).
-    for (std::size_t i = 0; i < y.numel(); ++i)
-        EXPECT_NEAR(y[i], ref[i], 1e-9 * (std::abs(ref[i]) + 1.0));
+            const TensorD x = randomInput({3, c, 8, 8}, 52);
+            TensorD xb(blockedShape(x.shape()));
+            nchwToBlocked(x, xb);
+            ScratchArena arena;
+            TensorD yb(backend->outputShape(*prep, xb.shape()));
+            backend->run(*prep, xb, arena, yb);
+            TensorD y(x.shape());
+            blockedToNchw(yb, y);
+            const TensorD ref = oracle.forward(x);
+            ASSERT_EQ(y.shape(), ref.shape());
+            for (std::size_t i = 0; i < y.numel(); ++i)
+                ASSERT_NEAR(y[i], ref[i],
+                            1e-9 * (std::abs(ref[i]) + 1.0))
+                    << c << " channels, " << winoName(v) << ", at "
+                    << i;
+        }
+    }
 }
 
 TEST(BlockedInt8Session, PlansBlockedChainWithInt8Fallbacks)
@@ -165,7 +190,7 @@ TEST(BlockedInt8Session, QuantizedAutoSelectStaysQuantized)
 {
     const NetworkDesc net = microServeNet(8, 4);
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradInt8;
+    cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
     const Session session(net, cfg);
@@ -174,8 +199,7 @@ TEST(BlockedInt8Session, QuantizedAutoSelectStaysQuantized)
     // layer to an FP engine.
     for (std::size_t i = 0; i < 3; ++i) {
         const ConvEngine e = session.layerEngine(i);
-        EXPECT_TRUE(e == ConvEngine::WinogradInt8 ||
-                    e == ConvEngine::WinogradBlockedInt8 ||
+        EXPECT_TRUE(e == ConvEngine::WinogradBlockedInt8 ||
                     e == ConvEngine::Im2colInt8)
             << "layer " << i << " left the quantized path";
     }

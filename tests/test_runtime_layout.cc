@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <future>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,11 +60,10 @@ TEST(LayoutPropagation, BlockedSessionMatchesIm2colReference)
 
 TEST(LayoutPropagation, F6SessionsMatchIm2colEndToEnd)
 {
-    // F(6,3) end to end through the session, in both NCHW and
-    // blocked layouts. Width 4 gives 4x4 outputs — NOT a multiple of
-    // the 6-wide output tile — so every layer runs masked partial
-    // tiles, the regime where a wrong fractional B^T/A^T or a bad
-    // tail path would surface.
+    // F(6,3) end to end through the blocked session. Width 4 gives
+    // 4x4 outputs — NOT a multiple of the 6-wide output tile — so
+    // every layer runs masked partial tiles, the regime where a wrong
+    // fractional B^T/A^T or a bad tail path would surface.
     const NetworkDesc net = microServeNet(8, 4);
     SessionConfig refCfg;
     refCfg.defaultEngine = ConvEngine::Im2col;
@@ -68,19 +71,14 @@ TEST(LayoutPropagation, F6SessionsMatchIm2colEndToEnd)
     const TensorD input = randomInput(reference.inputShape(), 99);
     const TensorD ref = reference.run(input);
 
-    for (const ConvEngine engine :
-         {ConvEngine::WinogradFp32, ConvEngine::WinogradBlocked}) {
-        SessionConfig cfg;
-        cfg.defaultEngine = engine;
-        cfg.variant = WinoVariant::F6;
-        const Session session(net, cfg);
-        const TensorD y = session.run(input);
-        ASSERT_EQ(y.shape(), ref.shape());
-        for (std::size_t i = 0; i < y.numel(); ++i)
-            ASSERT_NEAR(y[i], ref[i], 1e-6)
-                << "engine " << static_cast<int>(engine)
-                << " diverges at " << i;
-    }
+    SessionConfig cfg;
+    cfg.defaultEngine = ConvEngine::WinogradBlocked;
+    cfg.variant = WinoVariant::F6;
+    const Session session(net, cfg);
+    const TensorD y = session.run(input);
+    ASSERT_EQ(y.shape(), ref.shape());
+    for (std::size_t i = 0; i < y.numel(); ++i)
+        ASSERT_NEAR(y[i], ref[i], 1e-6) << "diverges at " << i;
 }
 
 TEST(LayoutPropagation, PlansBlockedChainWithNchwFallbacks)
@@ -142,6 +140,15 @@ convChain(std::size_t depth)
     n.inputRes = 8;
     n.layers.push_back(body);
     return n;
+}
+
+/** Expects plan source `first` on layer 0 of `s`, `rest` after it. */
+void
+expectSources(const Session &s, const char *first, const char *rest)
+{
+    for (std::size_t i = 0; i < s.layerCount(); ++i)
+        EXPECT_STREQ(s.layerPlan(i).source, i == 0 ? first : rest)
+            << "layer " << i;
 }
 
 TEST(LayoutPropagation, BlockedChainsShareOneTileSlotSet)
@@ -227,7 +234,6 @@ TEST(LayoutPropagation, AutoSelectOutputStaysCorrect)
     for (std::size_t i = 0; i < 3; ++i) {
         const ConvEngine e = session.layerEngine(i);
         EXPECT_TRUE(e == ConvEngine::Im2col ||
-                    e == ConvEngine::WinogradFp32 ||
                     e == ConvEngine::WinogradBlocked);
     }
     EXPECT_EQ(session.layerEngine(3), ConvEngine::Im2col);
@@ -312,13 +318,13 @@ TEST(PlanCacheTest, ForeignEngineEntriesAreIgnoredAndReprobed)
     for (const ConvLayerDesc &d : net.expandedLayers())
         if (d.winogradEligible())
             cache.store(PlanCache::layerKey(d, cfg.autoSelectBatch),
-                        {ConvEngine::WinogradInt8, WinoVariant::F2});
+                        {ConvEngine::WinogradBlockedInt8,
+                         WinoVariant::F2});
 
     const Session session(net, cfg);
     for (std::size_t i = 0; i < 3; ++i) {
         const ConvEngine e = session.layerEngine(i);
         EXPECT_TRUE(e == ConvEngine::Im2col ||
-                    e == ConvEngine::WinogradFp32 ||
                     e == ConvEngine::WinogradBlocked)
             << "foreign cache entry leaked into layer " << i;
     }
@@ -328,7 +334,7 @@ TEST(PlanCacheTest, ForeignEngineEntriesAreIgnoredAndReprobed)
         PlanCache::layerKey(net.expandedLayers()[0],
                             cfg.autoSelectBatch),
         &dec));
-    EXPECT_NE(dec.engine, ConvEngine::WinogradInt8);
+    EXPECT_NE(dec.engine, ConvEngine::WinogradBlockedInt8);
 }
 
 /** A winner-only plan-cache entry (no candidate table). */
@@ -347,7 +353,7 @@ TEST(PlanCacheTest, OutOfEnvelopeInt8EntriesAreIgnoredAndReprobed)
     // on F6, whose transforms are not integer) must not reach
     // prepare(): the cached winner is ignored and the layer re-probed,
     // and the same guard drops such rows from a cached candidate
-    // table so the chain DP cannot re-prepare them either.
+    // table, so the layer's margin never counts them.
     const NetworkDesc net = microServeNet(8, 4);
     SessionConfig cfg;
     cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
@@ -357,8 +363,7 @@ TEST(PlanCacheTest, OutOfEnvelopeInt8EntriesAreIgnoredAndReprobed)
         const ConvEngine e = s.layerEngine(i);
         if (e == ConvEngine::Im2colInt8)
             return true;
-        return (e == ConvEngine::WinogradInt8 ||
-                e == ConvEngine::WinogradBlockedInt8) &&
+        return e == ConvEngine::WinogradBlockedInt8 &&
                winoInt8Eligible(s.layerVariant(i),
                                 cfg.quant.winogradBits,
                                 s.layerDesc(i).cin);
@@ -390,10 +395,9 @@ TEST(PlanCacheTest, OutOfEnvelopeInt8EntriesAreIgnoredAndReprobed)
 
     // A valid winner whose table lists the same F6 row as the
     // cheapest candidate: the row is filtered, the layer keeps the
-    // cached winner, and nothing re-prepares F6.
+    // cached winner, and the one remaining row gives no margin.
     PlanCache tables;
     cfg.planCache = &tables;
-    cfg.chainDp = true;
     PlanCache::Decision d;
     d.engine = ConvEngine::Im2colInt8;
     d.variant = WinoVariant::F2;
@@ -407,6 +411,7 @@ TEST(PlanCacheTest, OutOfEnvelopeInt8EntriesAreIgnoredAndReprobed)
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(filtered.layerEngine(i), ConvEngine::Im2colInt8);
         EXPECT_STREQ(filtered.layerPlan(i).source, "cache");
+        EXPECT_FALSE(filtered.layerPlan(i).marginPct.has_value());
     }
 }
 
@@ -415,8 +420,8 @@ TEST(PlanCacheTest, SerializeRoundTripsAndPersistsToDisk)
     PlanCache cache;
     cache.store("c64o64k3s1h16w16b8",
                 {ConvEngine::WinogradBlocked, WinoVariant::F4});
-    cache.store("c4o4k3s1h8w8b2",
-                {ConvEngine::WinogradFp32, WinoVariant::F2});
+    cache.store("c4o4k3s1h8w8b2q8",
+                {ConvEngine::WinogradBlockedInt8, WinoVariant::F2});
     cache.store("c3o4k3s1h8w8b2", {ConvEngine::Im2col, WinoVariant::F2});
 
     const std::string text = cache.serialize();
@@ -434,75 +439,223 @@ TEST(PlanCacheTest, SerializeRoundTripsAndPersistsToDisk)
     const std::string path =
         ::testing::TempDir() + "/twq_plan_cache_test.txt";
     ASSERT_TRUE(cache.saveFile(path));
+    ASSERT_TRUE(cache.saveFile(path)); // replaces the existing file
     PlanCache loaded;
     ASSERT_TRUE(loaded.loadFile(path));
     EXPECT_EQ(loaded.serialize(), text);
     std::remove(path.c_str());
     EXPECT_FALSE(loaded.loadFile(path + ".missing"));
+
+    // The save goes through a temporary file renamed over the path:
+    // none is left behind, and a failed save leaves none either.
+    EXPECT_FALSE(cache.saveFile(::testing::TempDir() +
+                                "/twq_no_such_dir/plan_cache.txt"));
+    for (const auto &e :
+         std::filesystem::directory_iterator(::testing::TempDir()))
+        EXPECT_NE(e.path().filename().string().rfind(
+                      "twq_plan_cache_test.txt.", 0),
+                  0u)
+            << "leftover temporary file " << e.path();
 }
 
-TEST(PlanCacheTest, V4RoundTripsCandidateTableAndConversionCosts)
+/** The serialized entry lines of `c` (header dropped). */
+std::vector<std::string>
+entryLines(const PlanCache &c)
 {
-    // The v4 entry carries everything the chain DP consumes: the
-    // full candidate table (F6 included) and the four NCHW↔NCHWc8
-    // conversion costs. All of it must survive serialize/deserialize
-    // byte for byte.
+    std::istringstream in(c.serialize());
+    std::vector<std::string> lines;
+    std::string line;
+    std::getline(in, line);
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+TEST(PlanCacheTest, TornFilesNeverLoadAChangedEntry)
+{
+    // A reader racing a writer can see any prefix of the file. Cut a
+    // multi-entry cache at every byte: each cut either is rejected
+    // with the cache unchanged, or it merges only entries equal field
+    // for field to the originals (a serialized line is all of an
+    // entry's fields).
+    PlanCache source;
+    PlanCache::Decision fp;
+    fp.engine = ConvEngine::WinogradBlocked;
+    fp.variant = WinoVariant::F4;
+    fp.probeNs = 182340;
+    fp.cycles = 812345;
+    fp.table = {{ConvEngine::Im2col, WinoVariant::F2, 401200},
+                {ConvEngine::WinogradBlocked, WinoVariant::F4, 182340}};
+    source.store("c64o64k3s1h16w16b8", fp);
+    PlanCache::Decision q;
+    q.engine = ConvEngine::Im2colInt8;
+    q.variant = WinoVariant::F2;
+    q.probeNs = 5120;
+    q.table = {{ConvEngine::WinogradBlockedInt8, WinoVariant::F2, 6000},
+               {ConvEngine::Im2colInt8, WinoVariant::F2, 5120}};
+    source.store("c16o16k3s1h32w32b8q8", q);
+    source.store("c3o4k3s1h8w8b2",
+                 winnerOnly(ConvEngine::Im2col, WinoVariant::F2));
+    const std::string text = source.serialize();
+    const std::vector<std::string> originals = entryLines(source);
+
+    for (std::size_t cut = 0; cut < text.size(); ++cut) {
+        PlanCache cache;
+        cache.store("resident",
+                    winnerOnly(ConvEngine::WinogradBlocked,
+                               WinoVariant::F2));
+        const std::string before = cache.serialize();
+        if (!cache.deserialize(text.substr(0, cut))) {
+            EXPECT_EQ(cache.serialize(), before) << "cut at " << cut;
+            continue;
+        }
+        for (const std::string &line : entryLines(cache)) {
+            if (line.rfind("resident ", 0) == 0)
+                continue;
+            EXPECT_NE(std::find(originals.begin(), originals.end(),
+                                line),
+                      originals.end())
+                << "cut at " << cut << " loaded a changed entry: "
+                << line;
+        }
+    }
+}
+
+TEST(PlanCacheTest, V5RoundTripsTheCandidateTable)
+{
+    // A v5 entry is the winner, its provenance and the full candidate
+    // table (F6 included), with no other fields; all of it survives
+    // serialize/deserialize byte for byte.
     PlanCache cache;
     PlanCache::Decision d;
     d.engine = ConvEngine::WinogradBlocked;
     d.variant = WinoVariant::F6;
     d.probeNs = 182340;
-    d.inToBlockedNs = 9120;
-    d.inToNchwNs = 8770;
-    d.outToBlockedNs = 9050;
-    d.outToNchwNs = 8990;
     d.table = {{ConvEngine::Im2col, WinoVariant::F2, 401200},
-               {ConvEngine::WinogradFp32, WinoVariant::F4, 240100},
+               {ConvEngine::WinogradBlocked, WinoVariant::F4, 240100},
                {ConvEngine::WinogradBlocked, WinoVariant::F6, 182340}};
     cache.store("c64o64k3s1h16w16b8", d);
 
     const std::string text = cache.serialize();
+    EXPECT_EQ(text, "twq-plan-cache v5 " + PlanCache::signature() +
+                        "\nc64o64k3s1h16w16b8 winograd-blocked F6 "
+                        "182340 0 0 0 0 3 im2col F2 401200 "
+                        "winograd-blocked F4 240100 winograd-blocked "
+                        "F6 182340\n");
     PlanCache parsed;
     ASSERT_TRUE(parsed.deserialize(text));
     EXPECT_EQ(parsed.serialize(), text);
     PlanCache::Decision back;
     ASSERT_TRUE(parsed.lookup("c64o64k3s1h16w16b8", &back));
     EXPECT_EQ(back.variant, WinoVariant::F6);
-    EXPECT_EQ(back.inToBlockedNs, 9120u);
-    EXPECT_EQ(back.inToNchwNs, 8770u);
-    EXPECT_EQ(back.outToBlockedNs, 9050u);
-    EXPECT_EQ(back.outToNchwNs, 8990u);
     ASSERT_EQ(back.table.size(), 3u);
-    EXPECT_EQ(back.table[1].engine, ConvEngine::WinogradFp32);
+    EXPECT_EQ(back.table[1].engine, ConvEngine::WinogradBlocked);
     EXPECT_EQ(back.table[1].variant, WinoVariant::F4);
     EXPECT_EQ(back.table[1].ns, 240100u);
+
+    // A truncated line (table promises more candidates than it
+    // carries) is malformed, not merged.
+    const std::string truncated =
+        "twq-plan-cache v5 " + PlanCache::signature() +
+        "\nc64o64k3s1h16w16b8 winograd-blocked F4 1 0 0 0 0 "
+        "2 im2col F2 5\n";
+    EXPECT_FALSE(parsed.deserialize(truncated));
+    EXPECT_EQ(parsed.serialize(), text);
 }
 
-TEST(PlanCacheTest, StaleV3FilesAreRejectedWithoutDamage)
+TEST(PlanCacheTest, StaleV3AndV4FilesAreRejectedWithoutDamage)
 {
-    // A v3 file predates both the F6 candidate and the conversion
-    // costs — its rankings are incomplete for this candidate space,
-    // so the header check must refuse it outright and leave existing
+    // v3 predates the F6 candidate; v4 entries carry layout-
+    // conversion costs and rank engines that no longer serve. The
+    // header check must refuse either outright and leave existing
     // in-memory plans untouched (the affected layers re-probe).
     PlanCache cache;
-    cache.store("keep", {ConvEngine::WinogradFp32, WinoVariant::F2});
+    cache.store("keep", {ConvEngine::WinogradBlocked, WinoVariant::F2});
     const std::string v3 =
         "twq-plan-cache v3 " + PlanCache::signature() +
         "\nc64o64k3s1h16w16b8 winograd-blocked F4 182340 0 0 0 0\n";
-    EXPECT_FALSE(cache.deserialize(v3));
-    EXPECT_EQ(cache.size(), 1u);
-    PlanCache::Decision d;
-    EXPECT_FALSE(cache.lookup("c64o64k3s1h16w16b8", &d));
-    EXPECT_TRUE(cache.lookup("keep", &d));
-
-    // A truncated v4 line (table promises more candidates than it
-    // carries) is malformed, not merged.
-    const std::string truncated =
+    const std::string v4 =
         "twq-plan-cache v4 " + PlanCache::signature() +
-        "\nc64o64k3s1h16w16b8 winograd-blocked F4 1 0 0 0 0 9 8 9 8 "
-        "2 im2col F2 5\n";
-    EXPECT_FALSE(cache.deserialize(truncated));
-    EXPECT_EQ(cache.size(), 1u);
+        "\nc64o64k3s1h16w16b8 winograd-blocked F4 182340 0 0 0 0 "
+        "9120 8770 9050 8990 2 winograd-fp32 F4 240100 "
+        "winograd-blocked F4 182340\n";
+    for (const std::string &stale : {v3, v4}) {
+        EXPECT_FALSE(cache.deserialize(stale));
+        EXPECT_EQ(cache.size(), 1u);
+        PlanCache::Decision d;
+        EXPECT_FALSE(cache.lookup("c64o64k3s1h16w16b8", &d));
+        EXPECT_TRUE(cache.lookup("keep", &d));
+    }
+}
+
+TEST(PlanCacheTest, StaleV4FileIsReprobedAndRewrittenAsV5)
+{
+    // A session pointed at a v4 file ignores it, races every key
+    // and saves a v5 file over it.
+    const NetworkDesc net = convChain(2);
+    SessionConfig cfg;
+    cfg.autoSelect = true;
+    cfg.autoSelectBatch = 2;
+    cfg.planCachePath = ::testing::TempDir() + "/twq_plan_cache_v4.txt";
+    const std::string key =
+        PlanCache::layerKey(net.expandedLayers()[0], cfg.autoSelectBatch);
+    {
+        std::FILE *f = std::fopen(cfg.planCachePath.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f,
+                     "twq-plan-cache v4 %s\n%s im2col F2 1 0 0 0 0 "
+                     "0 0 0 0 0\n",
+                     PlanCache::signature().c_str(), key.c_str());
+        std::fclose(f);
+    }
+    const Session session(net, cfg);
+    expectSources(session, "probed", "cache");
+    PlanCache loaded;
+    ASSERT_TRUE(loaded.loadFile(cfg.planCachePath));
+    PlanCache::Decision d;
+    ASSERT_TRUE(loaded.lookup(key, &d));
+    EXPECT_EQ(d.table.size(), 4u);
+    std::remove(cfg.planCachePath.c_str());
+}
+
+TEST(SinglePathPlanner, RacesOneEnginePerPrecisionAtEveryVariant)
+{
+    // The candidate tables a race records, no timing involved: an FP
+    // layer races im2col and the blocked engine at F2, F4 and F6; a
+    // 16-channel quantized layer races im2col-int8 and blocked int8
+    // at the two variants the bitwidth model admits.
+    const NetworkDesc net = convChain(1);
+    const ConvLayerDesc &d = net.layers[0];
+    ASSERT_EQ(d.cin, 16u);
+    const auto recorded = [&](ConvEngine engine, bool quantized) {
+        PlanCache cache;
+        SessionConfig cfg;
+        cfg.defaultEngine = engine;
+        cfg.autoSelect = true;
+        cfg.autoSelectBatch = 2;
+        cfg.planCache = &cache;
+        const Session session(net, cfg);
+        PlanCache::Decision dec;
+        EXPECT_TRUE(cache.lookup(
+            PlanCache::layerKey(d, cfg.autoSelectBatch, quantized),
+            &dec));
+        std::multiset<std::string> rows;
+        for (const PlanCache::Cand &c : dec.table)
+            rows.insert(c.engine == ConvEngine::Im2col ||
+                                c.engine == ConvEngine::Im2colInt8
+                            ? std::string(convEngineName(c.engine))
+                            : std::string(convEngineName(c.engine)) +
+                                  " " + winoName(c.variant));
+        return rows;
+    };
+    EXPECT_EQ(recorded(ConvEngine::WinogradBlocked, false),
+              (std::multiset<std::string>{
+                  "im2col", "winograd-blocked F2", "winograd-blocked F4",
+                  "winograd-blocked F6"}));
+    EXPECT_EQ(recorded(ConvEngine::WinogradBlockedInt8, true),
+              (std::multiset<std::string>{"im2col-int8",
+                                          "winograd-blocked-int8 F2",
+                                          "winograd-blocked-int8 F4"}));
 }
 
 TEST(PlanCacheTest, TunedCacheBuildsWithZeroProbes)
@@ -538,113 +691,6 @@ TEST(PlanCacheTest, TunedCacheBuildsWithZeroProbes)
     EXPECT_TRUE(anyCached);
 }
 
-TEST(ChainDp, JointPlanMatchesReferenceAndBeatsNoPlan)
-{
-    // The chain DP re-decides raced layers jointly; whatever mix it
-    // lands on, the numerics must still match the im2col reference —
-    // a re-prepared override with a mismatched variant would break
-    // the output, not just the label.
-    const NetworkDesc net = microServeNet(8, 4);
-    SessionConfig cfg;
-    cfg.autoSelect = true;
-    cfg.autoSelectBatch = 2;
-    cfg.chainDp = true;
-    const Session dp(net, cfg);
-    cfg.chainDp = false;
-    const Session argmin(net, cfg);
-    SessionConfig refCfg;
-    refCfg.defaultEngine = ConvEngine::Im2col;
-    const Session reference(net, refCfg);
-
-    const TensorD input = randomInput(dp.inputShape(), 1234);
-    const TensorD y = dp.run(input);
-    const TensorD ref = reference.run(input);
-    ASSERT_EQ(y.shape(), ref.shape());
-    for (std::size_t i = 0; i < y.numel(); ++i)
-        EXPECT_NEAR(y[i], ref[i], 1e-6);
-    // Both policies pick from the same candidate family.
-    for (std::size_t i = 0; i < dp.layerCount(); ++i) {
-        const ConvEngine e = dp.layerEngine(i);
-        EXPECT_TRUE(e == ConvEngine::Im2col ||
-                    e == ConvEngine::WinogradFp32 ||
-                    e == ConvEngine::WinogradBlocked);
-        (void)argmin;
-    }
-}
-
-TEST(ChainDp, SeamCostsSteerAwayFromIsolatedBlockedLayers)
-{
-    // Synthetic decision problem, no timing: layer candidates and
-    // conversion costs are injected through a v4 cache. The middle
-    // layer's blocked candidate wins its local race by less than the
-    // two seams it would force between its NCHW neighbors, so the
-    // per-layer argmin picks it and the chain DP must not.
-    NetworkDesc net;
-    net.name = "SeamNet";
-    net.inputRes = 8;
-    for (int i = 0; i < 3; ++i) {
-        ConvLayerDesc d;
-        d.name = "seam." + std::to_string(i);
-        d.cin = 8;
-        d.cout = 8;
-        d.kernel = 3;
-        d.stride = 1;
-        d.height = 8;
-        d.width = 8;
-        net.layers.push_back(d);
-    }
-    // Distinct keys per layer are impossible here (identical
-    // shapes), so all three layers share one cached entry: NCHW
-    // winograd at 100us, blocked at 90us, seams at 30us each. Any
-    // single blocked layer inside an NCHW chain costs two seams
-    // (+60us) for a 10us node win; an all-blocked chain would pay
-    // ingress+egress (+60us) against a 30us total node win. The DP
-    // must therefore keep the whole chain NCHW, while the per-layer
-    // argmin greedily goes blocked.
-    PlanCache cache;
-    PlanCache::Decision d;
-    d.engine = ConvEngine::WinogradBlocked;
-    d.variant = WinoVariant::F2;
-    d.probeNs = 90000;
-    d.inToBlockedNs = 30000;
-    d.inToNchwNs = 30000;
-    d.outToBlockedNs = 30000;
-    d.outToNchwNs = 30000;
-    d.table = {{ConvEngine::WinogradFp32, WinoVariant::F2, 100000},
-               {ConvEngine::WinogradBlocked, WinoVariant::F2, 90000}};
-    SessionConfig cfg;
-    cfg.autoSelect = true;
-    cfg.autoSelectBatch = 2;
-    cfg.planCache = &cache;
-    cache.store(PlanCache::layerKey(net.expandedLayers()[0],
-                                    cfg.autoSelectBatch),
-                d);
-
-    cfg.chainDp = false;
-    const Session greedy(net, cfg);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(greedy.layerEngine(i), ConvEngine::WinogradBlocked)
-            << "argmin should take the local blocked win";
-
-    cfg.chainDp = true;
-    const Session planned(net, cfg);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(planned.layerEngine(i), ConvEngine::WinogradFp32)
-            << "DP left an uncharged seam at layer " << i;
-        EXPECT_STREQ(planned.layerPlan(i).source, "cache")
-            << "DP re-decision must not re-measure";
-    }
-}
-
-/** Expects plan source `first` on layer 0 of `s`, `rest` after it. */
-void
-expectSources(const Session &s, const char *first, const char *rest)
-{
-    for (std::size_t i = 0; i < s.layerCount(); ++i)
-        EXPECT_STREQ(s.layerPlan(i).source, i == 0 ? first : rest)
-            << "layer " << i;
-}
-
 TEST(PlanMemo, IdenticalLayersRaceOnce)
 {
     // Four identical layers share one plan key: a cacheless build
@@ -653,7 +699,6 @@ TEST(PlanMemo, IdenticalLayersRaceOnce)
     SessionConfig cfg;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
-    cfg.chainDp = false;
     auto &probes = obs::Registry::global().counter("plan.probes");
     auto &memoHits =
         obs::Registry::global().counter("autoselect.memo_hit");
@@ -688,14 +733,6 @@ TEST(PlanMemo, IdenticalLayersRaceOnce)
     ASSERT_EQ(y.shape(), ref.shape());
     for (std::size_t i = 0; i < y.numel(); ++i)
         EXPECT_NEAR(y[i], ref[i], 1e-6);
-
-    // Under the chain DP the memoized tables still produce a correct
-    // chain.
-    cfg.chainDp = true;
-    const Session dp(net, cfg);
-    const TensorD yd = dp.run(input);
-    for (std::size_t i = 0; i < yd.numel(); ++i)
-        EXPECT_NEAR(yd[i], ref[i], 1e-6);
 }
 
 TEST(PlanMemo, MemoDiesWithTheBuild)
@@ -836,46 +873,36 @@ oneLayerNet()
     return n;
 }
 
-TEST(SettleRace, TiedRowsChargeTheLeaderSoTheChainDpAgrees)
+TEST(SettleRace, TiedRowsChargeTheLeader)
 {
-    // NCHW winograd races first and ties the blocked leader. The
-    // table records both at the leader's time, so the chain DP (with
-    // free seams here, so node cost alone decides) keeps the race's
-    // pick; at their own times it would flip to the leader.
+    // Blocked F4 races first and ties the blocked F2 leader. The
+    // table records both at the leader's time, so a cached build of
+    // it reports the race's pick with a margin of 0 and the pick's
+    // own best round as its probe time.
     const RaceVerdict v = settleRace({{103, 110, 112}, {100, 104, 130}});
     ASSERT_EQ(v.pick, 0u);
     const NetworkDesc net = oneLayerNet();
     SessionConfig cfg;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
-    cfg.chainDp = true;
-    const auto planWith = [&](std::uint64_t fp32Ns,
-                              std::uint64_t blockedNs) {
-        PlanCache cache;
-        PlanCache::Decision d;
-        d.engine = ConvEngine::WinogradFp32;
-        d.variant = WinoVariant::F2;
-        d.probeNs = 103;
-        d.table = {{ConvEngine::WinogradFp32, WinoVariant::F2, fp32Ns},
-                   {ConvEngine::WinogradBlocked, WinoVariant::F2,
-                    blockedNs}};
-        cache.store(PlanCache::layerKey(net.layers[0],
-                                        cfg.autoSelectBatch),
-                    d);
-        SessionConfig cached = cfg;
-        cached.planCache = &cache;
-        const Session s(net, cached);
-        return s.layerPlan(0);
-    };
-    const LayerPlanInfo settled =
-        planWith(v.chargedNs[0], v.chargedNs[1]);
-    EXPECT_EQ(settled.engine, ConvEngine::WinogradFp32);
+    PlanCache cache;
+    cfg.planCache = &cache;
+    PlanCache::Decision d;
+    d.engine = ConvEngine::WinogradBlocked;
+    d.variant = WinoVariant::F4;
+    d.probeNs = 103;
+    d.table = {
+        {ConvEngine::WinogradBlocked, WinoVariant::F4, v.chargedNs[0]},
+        {ConvEngine::WinogradBlocked, WinoVariant::F2, v.chargedNs[1]}};
+    cache.store(PlanCache::layerKey(net.layers[0], cfg.autoSelectBatch),
+                d);
+    const Session s(net, cfg);
+    const LayerPlanInfo settled = s.layerPlan(0);
+    EXPECT_EQ(settled.engine, ConvEngine::WinogradBlocked);
+    EXPECT_EQ(settled.variant, WinoVariant::F4);
     ASSERT_TRUE(settled.marginPct.has_value());
     EXPECT_EQ(*settled.marginPct, 0.0);
     EXPECT_EQ(settled.probeNs, 103u) << "probe_ns is the pick's own";
-
-    const LayerPlanInfo own = planWith(103, 100);
-    EXPECT_EQ(own.engine, ConvEngine::WinogradBlocked);
 }
 
 TEST(PlanMargin, ComesFromTheRecordedTable)
@@ -886,31 +913,20 @@ TEST(PlanMargin, ComesFromTheRecordedTable)
     SessionConfig cfg;
     cfg.autoSelect = true;
     cfg.autoSelectBatch = 2;
-    cfg.chainDp = false;
     PlanCache cache;
     cfg.planCache = &cache;
     PlanCache::Decision d;
     d.engine = ConvEngine::WinogradBlocked;
     d.variant = WinoVariant::F2;
-    d.inToBlockedNs = d.inToNchwNs = 30000;
-    d.outToBlockedNs = d.outToNchwNs = 30000;
-    d.table = {{ConvEngine::WinogradFp32, WinoVariant::F2, 100000},
+    d.table = {{ConvEngine::WinogradBlocked, WinoVariant::F4, 100000},
                {ConvEngine::WinogradBlocked, WinoVariant::F2, 90000},
                {ConvEngine::Im2col, WinoVariant::F2, 400000}};
     const std::string key =
         PlanCache::layerKey(net.layers[0], cfg.autoSelectBatch);
     cache.store(key, d);
-    const Session argmin(net, cfg);
-    ASSERT_TRUE(argmin.layerPlan(0).marginPct.has_value());
-    EXPECT_NEAR(*argmin.layerPlan(0).marginPct, 100.0 * 10 / 90, 1e-9);
-
-    // The chain DP pays 10us of node time to save 60us of seams on
-    // this isolated layer: a negative margin.
-    cfg.chainDp = true;
-    const Session dp(net, cfg);
-    EXPECT_EQ(dp.layerEngine(0), ConvEngine::WinogradFp32);
-    ASSERT_TRUE(dp.layerPlan(0).marginPct.has_value());
-    EXPECT_NEAR(*dp.layerPlan(0).marginPct, -10.0, 1e-9);
+    const Session picked(net, cfg);
+    ASSERT_TRUE(picked.layerPlan(0).marginPct.has_value());
+    EXPECT_NEAR(*picked.layerPlan(0).marginPct, 100.0 * 10 / 90, 1e-9);
 
     // Winner-only entries and layers that never raced have none.
     cache.store(key,

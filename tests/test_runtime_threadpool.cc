@@ -262,7 +262,7 @@ TEST(InferenceServer, ManyThreadsManyRequestsNoLossNoDuplication)
     constexpr std::size_t kRequests = 48;
 
     SessionConfig scfg;
-    scfg.defaultEngine = ConvEngine::WinogradFp32;
+    scfg.defaultEngine = ConvEngine::WinogradBlocked;
     auto session =
         std::make_shared<Session>(microServeNet(8, 4), scfg);
 

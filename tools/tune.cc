@@ -1,9 +1,13 @@
 /**
  * @file
  * Offline autoSelect tuner: sweep a matrix of networks and candidate
- * policies once, persisting every measured plan (winner, full
- * candidate table, seam conversion costs) into a signature-versioned
- * PlanCache file that production sessions load instead of probing.
+ * policies once (FP layers race im2col and winograd-blocked at
+ * F2/F4/F6; with --quant, quantized layers race im2col-int8 and
+ * winograd-blocked-int8 at each int8-eligible variant), persisting
+ * every measured plan (winner, probe provenance, full candidate
+ * table) into a signature-versioned v5 PlanCache file that production
+ * sessions load instead of probing. An older-format file is rejected
+ * whole and re-tuned.
  *
  *   tune --cache plans.txt                    # tune the default matrix
  *   tune --cache plans.txt --nets wide-64 --quant
@@ -98,7 +102,7 @@ policyFor(const std::string &cachePath, bool quantized,
     cfg.autoSelectBatch = batch;
     cfg.planCachePath = cachePath;
     if (quantized)
-        cfg.defaultEngine = ConvEngine::WinogradInt8;
+        cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     return cfg;
 }
 
