@@ -1,15 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library's hot kernels:
- * Winograd transforms, reference convolutions, the integer tap-wise
- * pipeline, the DFG engine emulation, and the performance model
- * itself.
+ * Winograd transforms, reference convolutions, the blocked integer
+ * tap-wise engine, the DFG engine emulation, and the performance
+ * model itself.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
-#include "quant/int_winograd.hh"
+#include "quant/int_wino_blocked.hh"
 #include "sim/operators.hh"
 #include "tensor/im2col.hh"
 #include "winograd/conv.hh"
@@ -107,10 +107,12 @@ BM_IntWinogradForward(benchmark::State &state)
 {
     const TensorD x = randomTensor({1, 8, 16, 16}, 8);
     const TensorD w = randomTensor({8, 8, 3, 3}, 9);
-    IntWinogradConfig cfg;
-    IntWinogradConv conv(w, {x}, cfg);
+    const BlockedIntWinograd blk(
+        IntWinogradConv(w, {x}, IntWinogradConfig{}));
+    TensorD xb(blockedShape(x.shape()));
+    nchwToBlocked(x, xb);
     for (auto _ : state)
-        benchmark::DoNotOptimize(conv.forward(x));
+        benchmark::DoNotOptimize(blk.forward(xb));
 }
 BENCHMARK(BM_IntWinogradForward);
 

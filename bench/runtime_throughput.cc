@@ -1,33 +1,24 @@
 /**
  * @file
- * Serving-runtime throughput benchmark.
+ * Structural gates of the serving runtime, run by CI:
  *
- * Two regimes are measured per conv engine and workload:
+ *   --smoke     the structural gates documented at runSmoke (blocked
+ *               GEMM, Winograd vs im2col, NCHWc8 gather, autoSelect
+ *               picks, int8 widening kernel, fused epilogue, binary16
+ *               storage, front-door scaling and overload shedding);
+ *               exits nonzero when any gate fails.
+ *   --obs-gate  the wide-64 blocked-layer p50 as one machine-readable
+ *               line, compared by CI against a TWQ_NO_OBS build.
  *
- *   bulk-*  open-loop: all requests submitted up front, batches fill
- *           to maxBatch, dispatch overhead amortizes — the offline /
- *           high-offered-load regime. bulk-base (1 worker, batch 1)
- *           is the single-thread batch-1 baseline the batched
- *           configurations are compared against.
- *   loop-*  closed-loop clients (submit, block on the future,
- *           repeat) — the interactive regime; p50/p99 here are
- *           end-to-end request latency.
- *
- * A third section drives the same server through the epoll network
- * front door over loopback TCP (net-loop-* / net-bulk-* rows across
- * worker counts, plus an unloaded/overload pair showing admission
- * control bounding the admitted tail).
- *
- * Reports requests/sec and p50/p99/p99.9 latency per configuration,
- * and writes the machine-readable BENCH_runtime.json so future PRs
- * can track the perf trajectory.
+ * Serving performance is measured end to end by bench/e2e, whose
+ * compare.py is the one way to compare two commits.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,9 +32,6 @@
 #include "models/zoo.hh"
 #include "net/client.hh"
 #include "net/server.hh"
-#include "obs/metrics.hh"
-#include "obs/perf.hh"
-#include "obs/trace.hh"
 #include "runtime/server.hh"
 #include "winograd/tiled.hh"
 
@@ -54,192 +42,45 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** What a gate reads from one measured serving run. */
 struct Result
 {
-    const char *engine;
-    std::string label; ///< owned: some labels are built at runtime
-    std::size_t threads;
-    std::size_t maxBatch;
-    std::size_t clients;
-    std::size_t requests;
-    double wallSec;
-    double reqPerSec;
-    double p50Ms;
-    double p99Ms;
-    double p999Ms = -1.0;
-    double avgBatch;
-    /// Requests rejected by admission control (network rows under
-    /// offered overload); latency percentiles above cover ADMITTED
-    /// requests only — the bounded-latency claim of load shedding.
+    std::size_t requests = 0; ///< responses timed (admitted only)
+    double reqPerSec = 0.0;
+    double p99Ms = 0.0;
+    /// Requests rejected by admission control (network runs under
+    /// offered overload); p99Ms covers ADMITTED requests only — the
+    /// bounded-latency claim of load shedding.
     std::uint64_t shed = 0;
-    /// Server-side request-latency quantiles from the obs histogram
-    /// (enqueue to fulfillment); -1 when the row has no server (layer
-    /// microbenchmarks) or obs is compiled out. Tracked against the
-    /// client-observed p50/p99 above: the two must agree to within
-    /// one log2 bucket.
-    double histP50Ms = -1.0;
-    double histP99Ms = -1.0;
-    /// Hardware-counter profile of the measured region (summed over
-    /// the instrumented backend stages, all worker threads): retired
-    /// instructions per cycle and cache misses per reference. -1 when
-    /// perf_event_open is unavailable (container policy, TWQ_NO_PERF)
-    /// or obs is compiled out — absence is explicit, not zero.
-    double ipc = -1.0;
-    double missRate = -1.0;
 };
-
-/** Arm the per-stage hardware-counter rollup for one measured row. */
-void
-beginRowPerf()
-{
-    obs::PerfStageCollector::global().reset();
-    obs::PerfStageCollector::global().enable();
-}
-
-/**
- * Stop the rollup and fold its counters into the row: one sample
- * summed across stages and worker threads. Leaves r.ipc/r.missRate
- * at -1 when nothing valid was measured.
- */
-void
-endRowPerf(Result &r)
-{
-    auto &coll = obs::PerfStageCollector::global();
-    coll.disable();
-    obs::PerfCounters sum;
-    for (const auto &[name, t] : coll.totals())
-        sum += t.counters;
-    coll.reset();
-    if (sum.valid && sum.cycles > 0) {
-        r.ipc = sum.ipc();
-        r.missRate = sum.missRate();
-    }
-}
-
-/**
- * Start a server and run warmup requests through it (arenas, lazy
- * allocations, scheduler); returns the post-warmup stats snapshot so
- * measured batch sizes exclude the warmup.
- */
-std::unique_ptr<InferenceServer>
-makeWarmServer(const std::shared_ptr<const Session> &session,
-               std::size_t threads, std::size_t maxBatch,
-               ServerStats *statsBefore)
-{
-    RuntimeConfig rcfg;
-    rcfg.threads = threads;
-    rcfg.batch.maxBatch = maxBatch;
-    rcfg.batch.maxWait = std::chrono::microseconds(200);
-    auto server = std::make_unique<InferenceServer>(session, rcfg);
-    std::vector<std::future<TensorD>> warm;
-    for (std::size_t i = 0; i < 8; ++i)
-        warm.push_back(
-            server->submit(TensorD(session->inputShape(), 0.5)));
-    for (auto &f : warm)
-        f.get();
-    server->drain();
-    *statsBefore = server->stats();
-    return server;
-}
-
-Result
-runConfig(const std::shared_ptr<const Session> &session,
-          ConvEngine engine, const char *label, std::size_t threads,
-          std::size_t maxBatch, std::size_t clients,
-          std::size_t requests)
-{
-    ServerStats statsBefore;
-    auto serverPtr =
-        makeWarmServer(session, threads, maxBatch, &statsBefore);
-    InferenceServer &server = *serverPtr;
-    // Drop the warmup requests from the server-side histograms so the
-    // snapshot below covers exactly the measured requests.
-    server.metrics().reset();
-    beginRowPerf();
-
-    // One distinct input per client, generated up front.
-    std::vector<TensorD> inputs;
-    for (std::size_t c = 0; c < clients; ++c) {
-        TensorD in(session->inputShape());
-        Rng rng(1000 + c);
-        rng.fillNormal(in.storage(), 0.0, 1.0);
-        inputs.push_back(std::move(in));
-    }
-
-    std::vector<std::vector<double>> perClient(clients);
-    const std::size_t perClientReqs = requests / clients;
-    const auto wallStart = Clock::now();
-    std::vector<std::thread> clientThreads;
-    for (std::size_t c = 0; c < clients; ++c) {
-        clientThreads.emplace_back([&, c] {
-            perClient[c].reserve(perClientReqs);
-            for (std::size_t i = 0; i < perClientReqs; ++i) {
-                const auto t0 = Clock::now();
-                server.submit(inputs[c]).get();
-                const auto t1 = Clock::now();
-                perClient[c].push_back(
-                    std::chrono::duration<double, std::milli>(t1 - t0)
-                        .count());
-            }
-        });
-    }
-    for (auto &t : clientThreads)
-        t.join();
-    const double wallSec =
-        std::chrono::duration<double>(Clock::now() - wallStart).count();
-    server.drain();
-    const ServerStats stats = server.stats();
-    const obs::MetricsSnapshot snap = server.metricsSnapshot();
-    server.shutdown();
-    const double avgBatch =
-        static_cast<double>(stats.completed - statsBefore.completed) /
-        static_cast<double>(stats.batches - statsBefore.batches);
-
-    std::vector<double> latencies;
-    for (const auto &v : perClient)
-        latencies.insert(latencies.end(), v.begin(), v.end());
-
-    Result r;
-    r.engine = convEngineName(engine);
-    r.label = label;
-    r.threads = threads;
-    r.maxBatch = maxBatch;
-    r.clients = clients;
-    r.requests = latencies.size();
-    r.wallSec = wallSec;
-    r.reqPerSec = static_cast<double>(latencies.size()) / wallSec;
-    r.p50Ms = percentile(latencies, 0.50);
-    r.p99Ms = percentile(latencies, 0.99);
-    r.p999Ms = percentile(latencies, 0.999);
-    r.avgBatch = avgBatch;
-    if (const auto it =
-            snap.histograms.find("server.request_latency_ns");
-        it != snap.histograms.end() && it->second.count > 0) {
-        r.histP50Ms = it->second.p50Ms();
-        r.histP99Ms = it->second.p99Ms();
-    }
-    endRowPerf(r);
-    return r;
-}
 
 /**
  * Open-loop (bulk) throughput: all requests are submitted up front,
  * so the queue stays deep, batches fill to maxBatch, and the
  * per-request dispatch/wakeup chain amortizes across each batch —
- * the offline / high-offered-load serving regime. p50/p99 here are
- * time-in-system, dominated by queueing.
+ * the offline / high-offered-load serving regime. p99 here is
+ * time-in-system, dominated by queueing. Warmup requests run first
+ * (arenas, lazy allocations, scheduler).
  */
 Result
 runOpenLoop(const std::shared_ptr<const Session> &session,
-            ConvEngine engine, const char *label, std::size_t threads,
-            std::size_t maxBatch, std::size_t requests)
+            std::size_t threads, std::size_t maxBatch,
+            std::size_t requests)
 {
-    ServerStats statsBefore;
-    auto serverPtr =
-        makeWarmServer(session, threads, maxBatch, &statsBefore);
-    InferenceServer &server = *serverPtr;
-    server.metrics().reset();
-    beginRowPerf();
+    RuntimeConfig rcfg;
+    rcfg.threads = threads;
+    rcfg.batch.maxBatch = maxBatch;
+    rcfg.batch.maxWait = std::chrono::microseconds(200);
+    InferenceServer server(session, rcfg);
+    {
+        std::vector<std::future<TensorD>> warm;
+        for (std::size_t i = 0; i < 8; ++i)
+            warm.push_back(
+                server.submit(TensorD(session->inputShape(), 0.5)));
+        for (auto &f : warm)
+            f.get();
+        server.drain();
+    }
 
     TensorD input(session->inputShape());
     Rng rng(7);
@@ -264,33 +105,12 @@ runOpenLoop(const std::shared_ptr<const Session> &session,
     const double wallSec =
         std::chrono::duration<double>(Clock::now() - wallStart).count();
     server.drain();
-    const ServerStats stats = server.stats();
-    const obs::MetricsSnapshot snap = server.metricsSnapshot();
     server.shutdown();
 
     Result r;
-    r.engine = convEngineName(engine);
-    r.label = label;
-    r.threads = threads;
-    r.maxBatch = maxBatch;
-    r.clients = 1;
     r.requests = requests;
-    r.wallSec = wallSec;
     r.reqPerSec = static_cast<double>(requests) / wallSec;
-    r.p50Ms = percentile(latencies, 0.50);
     r.p99Ms = percentile(latencies, 0.99);
-    r.p999Ms = percentile(latencies, 0.999);
-    // Warmup requests are excluded from the mean batch size.
-    r.avgBatch =
-        static_cast<double>(stats.completed - statsBefore.completed) /
-        static_cast<double>(stats.batches - statsBefore.batches);
-    if (const auto it =
-            snap.histograms.find("server.request_latency_ns");
-        it != snap.histograms.end() && it->second.count > 0) {
-        r.histP50Ms = it->second.p50Ms();
-        r.histP99Ms = it->second.p99Ms();
-    }
-    endRowPerf(r);
     return r;
 }
 
@@ -307,7 +127,6 @@ runOpenLoop(const std::shared_ptr<const Session> &session,
  */
 Result
 runNetClosed(const std::shared_ptr<const Session> &session,
-             ConvEngine engine, const std::string &label,
              std::size_t threads, std::size_t maxBatch,
              std::size_t clients, std::size_t requests,
              std::size_t maxPending)
@@ -330,8 +149,6 @@ runNetClosed(const std::shared_ptr<const Session> &session,
         for (int i = 0; i < 8; ++i)
             warm.infer(in);
     }
-    server.metrics().reset();
-    beginRowPerf();
 
     const std::size_t perClient = requests / clients;
     std::vector<std::vector<double>> okLat(clients);
@@ -372,7 +189,6 @@ runNetClosed(const std::shared_ptr<const Session> &session,
     const double wallSec =
         std::chrono::duration<double>(Clock::now() - wallStart)
             .count();
-    const obs::MetricsSnapshot snap = server.metricsSnapshot();
     front.shutdown();
     server.shutdown();
 
@@ -385,29 +201,10 @@ runNetClosed(const std::shared_ptr<const Session> &session,
     }
 
     Result r;
-    r.engine = convEngineName(engine);
-    r.label = label;
-    r.threads = threads;
-    r.maxBatch = maxBatch;
-    r.clients = clients;
     r.requests = latencies.size();
-    r.wallSec = wallSec;
     r.reqPerSec = static_cast<double>(latencies.size()) / wallSec;
-    r.p50Ms = percentile(latencies, 0.50);
     r.p99Ms = percentile(latencies, 0.99);
-    r.p999Ms = percentile(latencies, 0.999);
-    r.avgBatch = -1.0;
     r.shed = shed;
-    if (const auto it = snap.histograms.find("server.batch_size");
-        it != snap.histograms.end() && it->second.count > 0)
-        r.avgBatch = it->second.mean();
-    if (const auto it =
-            snap.histograms.find("server.request_latency_ns");
-        it != snap.histograms.end() && it->second.count > 0) {
-        r.histP50Ms = it->second.p50Ms();
-        r.histP99Ms = it->second.p99Ms();
-    }
-    endRowPerf(r);
     return r;
 }
 
@@ -419,7 +216,6 @@ runNetClosed(const std::shared_ptr<const Session> &session,
  */
 Result
 runNetOpen(const std::shared_ptr<const Session> &session,
-           ConvEngine engine, const std::string &label,
            std::size_t threads, std::size_t requests)
 {
     RuntimeConfig rcfg;
@@ -438,8 +234,6 @@ runNetOpen(const std::shared_ptr<const Session> &session,
     rng.fillNormal(in.storage(), 0.0, 1.0);
     for (int i = 0; i < 8; ++i)
         client.infer(in); // warm the wire path
-    server.metrics().reset();
-    beginRowPerf();
 
     // Send timestamps cross the sender->receiver boundary through
     // relaxed atomics; the socket round trip itself orders the write
@@ -479,40 +273,20 @@ runNetOpen(const std::shared_ptr<const Session> &session,
     const double wallSec =
         std::chrono::duration<double>(Clock::now() - wallStart)
             .count();
-    const obs::MetricsSnapshot snap = server.metricsSnapshot();
     front.shutdown();
     server.shutdown();
 
     Result r;
-    r.engine = convEngineName(engine);
-    r.label = label;
-    r.threads = threads;
-    r.maxBatch = 8;
-    r.clients = 1;
     r.requests = latencies.size();
-    r.wallSec = wallSec;
     r.reqPerSec = static_cast<double>(latencies.size()) / wallSec;
-    r.p50Ms = percentile(latencies, 0.50);
     r.p99Ms = percentile(latencies, 0.99);
-    r.p999Ms = percentile(latencies, 0.999);
-    r.avgBatch = -1.0;
-    if (const auto it = snap.histograms.find("server.batch_size");
-        it != snap.histograms.end() && it->second.count > 0)
-        r.avgBatch = it->second.mean();
-    if (const auto it =
-            snap.histograms.find("server.request_latency_ns");
-        it != snap.histograms.end() && it->second.count > 0) {
-        r.histP50Ms = it->second.p50Ms();
-        r.histP99Ms = it->second.p99Ms();
-    }
-    endRowPerf(r);
     return r;
 }
 
 /**
- * The scaling requirement for the net matrix's 8-thread row relative
- * to its 1-thread row, scaled to the machine the bench runs on: the
- * ISSUE's >= 4x target presumes >= 8 usable cores. With fewer cores
+ * The scaling requirement for gate 9's 8-worker run relative to its
+ * 1-worker run, scaled to the machine the bench runs on: the >= 4x
+ * target presumes >= 8 usable cores. With fewer cores
  * the requirement degrades to ~0.45x per available core (admitting
  * scheduler losses), and on a single core only "no collapse" (>=
  * 0.55x — extra worker threads must not halve throughput).
@@ -935,10 +709,8 @@ runSmoke()
         // pipelined connection keeps every worker fed). The required
         // ratio adapts to the host's core count — the 4x target
         // presumes 8 usable cores.
-        const Result t1 = runNetOpen(
-            session, ConvEngine::WinogradBlocked, "smoke-net-t1", 1, 192);
-        const Result t8 = runNetOpen(
-            session, ConvEngine::WinogradBlocked, "smoke-net-t8", 8, 192);
+        const Result t1 = runNetOpen(session, 1, 192);
+        const Result t8 = runNetOpen(session, 8, 192);
         const double need = requiredScaling(hw);
         const double ratio = t8.reqPerSec / t1.reqPerSec;
         const bool nok = ratio >= need;
@@ -957,19 +729,14 @@ runSmoke()
         // per-request service time well above scheduler jitter — with
         // a ~0.2 ms request, timeslice noise from the client threads
         // on a small host swamps the queueing term the gate is
-        // actually about (the full 8-client row lives in the bench's
-        // network matrix; the gate trades offered-load margin for
+        // actually about (the gate trades offered-load margin for
         // noise immunity).
         SessionConfig hcfg;
         hcfg.defaultEngine = ConvEngine::WinogradBlocked;
         auto heavy = std::make_shared<const Session>(
             microServeNet(32, 16), hcfg);
-        const Result unloaded =
-            runNetClosed(heavy, ConvEngine::WinogradBlocked,
-                         "smoke-net-unloaded", hw, 1, 1, 64, 0);
-        const Result overload =
-            runNetClosed(heavy, ConvEngine::WinogradBlocked,
-                         "smoke-net-overload", hw, 1, 4, 384, 2);
+        const Result unloaded = runNetClosed(heavy, hw, 1, 1, 64, 0);
+        const Result overload = runNetClosed(heavy, hw, 1, 4, 384, 2);
         const bool pok = overload.requests >= 1 &&
                          overload.shed >= 1 &&
                          overload.p99Ms <= 5.0 * unloaded.p99Ms;
@@ -992,8 +759,7 @@ runSmoke()
         scfg.defaultEngine = engine;
         auto session =
             std::make_shared<const Session>(net, scfg);
-        const Result r =
-            runOpenLoop(session, engine, "bulk-b8-1w", 1, 8, 96);
+        const Result r = runOpenLoop(session, 1, 8, 96);
         std::printf("whole-net %-14s bulk-b8-1w: %10.1f req/s\n",
                     convEngineName(engine), r.reqPerSec);
     }
@@ -1011,146 +777,6 @@ runSmoke()
                     : "\nSMOKE FAIL: %d gate(s) failed\n",
                 failures);
     return failures;
-}
-
-/**
- * Single-batch large-layer latency: one batched input through one
- * winograd-blocked layer, p50 over repeated runs, serial and with the
- * per-tap GEMMs sharded across a worker pool. The input is already
- * blocked, as layout propagation keeps it between blocked layers.
- * Measured on the widest (most MACs) eligible layer of the micro-8
- * net and on a wide 64-channel layer representing the ROADMAP's "wide
- * layers" regime.
- */
-void
-runLayerLatency(const ConvLayerDesc &d, const char *tag,
-                std::size_t batch, std::size_t hw,
-                std::vector<Result> &results)
-{
-    TensorD weights({d.cout, d.cin, 3, 3});
-    Rng wrng(0xabc);
-    wrng.fillNormal(weights.storage(), 0.0, 0.1);
-    const BlockedTapWeights bw = blockedTapWeights(
-        winogradPrepareTapWeights(weights, WinoVariant::F2));
-
-    TensorD probe({batch, d.cin, d.height, d.width});
-    Rng prng(0xdef);
-    prng.fillNormal(probe.storage(), 0.0, 1.0);
-    const WinoDims dims = winoDims(probe.shape(), WinoVariant::F2, 1);
-    TensorD probeBlocked(blockedShape(probe.shape()));
-    nchwToBlocked(probe, probeBlocked);
-    TensorD V, U, M, Y;
-    TensorD out({batch, bw.coutb, dims.ho, dims.wo, kLayoutBlock});
-
-    ThreadPool pool(hw);
-    PoolRunner runner(pool, pool.size());
-
-    constexpr int kIters = 60;
-    const auto measure = [&](const std::string &label, auto &&fn) {
-        using Clock = std::chrono::steady_clock;
-        fn(); // warmup (shapes buffers)
-        std::vector<double> ms;
-        ms.reserve(kIters);
-        const auto wall0 = Clock::now();
-        for (int i = 0; i < kIters; ++i) {
-            const auto t0 = Clock::now();
-            fn();
-            ms.push_back(std::chrono::duration<double, std::milli>(
-                             Clock::now() - t0)
-                             .count());
-        }
-        Result r;
-        r.engine = "winograd-blocked";
-        r.label = label;
-        r.threads = hw;
-        r.maxBatch = batch;
-        r.clients = 1;
-        r.requests = kIters;
-        r.wallSec =
-            std::chrono::duration<double>(Clock::now() - wall0).count();
-        r.reqPerSec = kIters / r.wallSec;
-        r.p50Ms = percentile(ms, 0.50);
-        r.p99Ms = percentile(ms, 0.99);
-        r.p999Ms = percentile(ms, 0.999);
-        r.avgBatch = static_cast<double>(batch);
-        results.push_back(r);
-        return r.p50Ms;
-    };
-
-    const double pBlk = measure(std::string(tag) + "-blocked", [&] {
-        conv2dWinogradBlockedInto(probeBlocked, bw, 1, V, U, M, Y, out);
-    });
-    const double pBlkPar =
-        measure(std::string(tag) + "-blocked-par", [&] {
-            conv2dWinogradBlockedInto(probeBlocked, bw, 1, V, U, M, Y,
-                                      out, &runner);
-        });
-    pool.shutdown();
-    std::printf("layer %-10s [%zux%zu @ %zux%zu, b%zu] p50: nchwc8 "
-                "%.3f ms, +parallel %.3f ms (%.2fx)\n",
-                tag, d.cout, d.cin, d.height, d.width, batch, pBlk,
-                pBlkPar, pBlk / pBlkPar);
-}
-
-void
-writeJson(const std::vector<Result> &results,
-          const std::map<std::string, obs::StageTotal> &stages,
-          const std::map<std::string, obs::PerfStageTotal> &stagePerf,
-          const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::perror("BENCH_runtime.json");
-        return;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"runtime_throughput\",\n");
-    std::fprintf(f, "  \"results\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        std::fprintf(
-            f,
-            "    {\"engine\": \"%s\", \"config\": \"%s\", "
-            "\"threads\": %zu, \"max_batch\": %zu, \"clients\": %zu, "
-            "\"requests\": %zu, \"wall_sec\": %.6f, "
-            "\"req_per_sec\": %.2f, \"p50_ms\": %.4f, "
-            "\"p99_ms\": %.4f, \"p999_ms\": %.4f, "
-            "\"avg_batch\": %.2f, \"shed\": %llu, "
-            "\"hist_p50_ms\": %.4f, \"hist_p99_ms\": %.4f, "
-            "\"ipc\": %.3f, \"cache_miss_rate\": %.4f}%s\n",
-            r.engine, r.label.c_str(), r.threads, r.maxBatch, r.clients,
-            r.requests, r.wallSec, r.reqPerSec, r.p50Ms, r.p99Ms,
-            r.p999Ms, r.avgBatch,
-            static_cast<unsigned long long>(r.shed), r.histP50Ms,
-            r.histP99Ms, r.ipc, r.missRate,
-            i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    // Per-stage rollup of the traced wide-64 autoSelect run: where a
-    // request's time actually goes (gather vs B-kron vs per-tap GEMM
-    // vs untile...), from the same spans a tracePath trace shows —
-    // with each stage's hardware-counter profile (IPC, cache miss
-    // rate) when perf_event_open was available. Empty when built
-    // with TWQ_NO_OBS.
-    std::fprintf(f, "  \"stage_breakdown\": [\n");
-    std::size_t emitted = 0;
-    for (const auto &[name, t] : stages) {
-        std::fprintf(f,
-                     "    {\"stage\": \"%s\", \"count\": %llu, "
-                     "\"total_ms\": %.4f",
-                     name.c_str(),
-                     static_cast<unsigned long long>(t.count),
-                     static_cast<double>(t.totalNs) * 1e-6);
-        if (const auto it = stagePerf.find(name);
-            it != stagePerf.end() && it->second.counters.valid)
-            std::fprintf(f, ", \"ipc\": %.3f, \"cache_miss_rate\": %.4f",
-                         it->second.counters.ipc(),
-                         it->second.counters.missRate());
-        std::fprintf(f, "}%s\n",
-                     ++emitted < stages.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
 }
 
 /**
@@ -1211,399 +837,10 @@ main(int argc, char **argv)
 {
     using namespace twq;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            return runSmoke() == 0 ? 0 : 1;
-        if (std::strcmp(argv[i], "--obs-gate") == 0)
-            return runObsGate();
-        std::fprintf(stderr, "usage: %s [--smoke|--obs-gate]\n",
-                     argv[0]);
-        return 2;
-    }
-
-    const std::size_t hw = std::max<std::size_t>(
-        2, std::min<std::size_t>(std::thread::hardware_concurrency(), 8));
-
-    std::vector<Result> results;
-    std::map<std::string, obs::StageTotal> stages;
-    std::map<std::string, obs::PerfStageTotal> stagePerf;
-    struct Workload
-    {
-        const char *name;
-        std::size_t res;
-        std::size_t width;
-        std::size_t requests;
-    };
-    // micro-8 is the serving-overhead-bound regime; micro-16 is
-    // compute-bound (16x the MACs per request). Cheap requests get a
-    // larger sample to keep the measurement out of scheduler noise.
-    const Workload workloads[] = {{"micro-8", 8, 4, 1024},
-                                  {"micro-16", 16, 8, 192}};
-
-    for (const Workload &wl : workloads) {
-        const std::size_t kRequests = wl.requests;
-        std::printf("=== Serving throughput: %s net, %zu "
-                    "requests/config, %zu hw threads ===\n\n",
-                    wl.name, kRequests, hw);
-        std::printf("%-14s %-10s %8s %6s %8s %10s %9s %9s %6s\n",
-                    "engine", "config", "threads", "batch", "clients",
-                    "req/s", "p50 ms", "p99 ms", "avgB");
-
-        for (ConvEngine engine : kAllConvEngines) {
-            SessionConfig scfg;
-            scfg.defaultEngine = engine;
-            auto session = std::make_shared<const Session>(
-                microServeNet(wl.res, wl.width), scfg);
-
-            // Open-loop (bulk) regime: the acceptance comparison.
-            const Result obase = runOpenLoop(
-                session, engine, "bulk-base", 1, 1, kRequests);
-            const Result obatch1 = runOpenLoop(
-                session, engine, "bulk-b8-1w", 1, 8, kRequests);
-            const Result obatch = runOpenLoop(
-                session, engine, "bulk-b8", hw, 8, kRequests);
-
-            // Closed-loop regime: interactive latency numbers.
-            const Result cbase = runConfig(
-                session, engine, "loop-base", 1, 1, 1, kRequests);
-            const Result cthreads = runConfig(
-                session, engine, "loop-thr", hw, 1, hw, kRequests);
-            const Result cbatch = runConfig(
-                session, engine, "loop-b8", hw, 8, 2 * hw, kRequests);
-
-            const Result *best = &obatch1;
-            if (obatch.reqPerSec > best->reqPerSec)
-                best = &obatch;
-            for (const Result &r : {obase, obatch1, obatch, cbase,
-                                    cthreads, cbatch}) {
-                std::printf("%-14s %-10s %8zu %6zu %8zu %10.1f %9.3f "
-                            "%9.3f %6.2f\n",
-                            r.engine, r.label.c_str(), r.threads,
-                            r.maxBatch, r.clients, r.reqPerSec, r.p50Ms,
-                            r.p99Ms, r.avgBatch);
-                results.push_back(r);
-            }
-            std::printf("  -> %s/%s: batched runtime (%s) is %.2fx "
-                        "the single-thread batch-1 baseline\n\n",
-                        wl.name, convEngineName(engine),
-                        best->label.c_str(),
-                        best->reqPerSec / obase.reqPerSec);
-        }
-    }
-
-    // Network serving matrix: the same requests through the epoll
-    // front door over loopback TCP, so every row pays the full wire
-    // cost (encode, socket, framing, decode) on top of inference.
-    // Closed-loop rows run 2*t clients in lockstep; open-loop rows
-    // pipeline one deep connection. Worker counts sweep past the
-    // physical core count on purpose — the tail of the sweep shows
-    // where affinity-pinned workers stop helping on this host.
-    {
-        const std::size_t kNetRequests = 192;
-        SessionConfig scfg;
-        scfg.defaultEngine = ConvEngine::WinogradBlocked;
-        auto session = std::make_shared<const Session>(
-            microServeNet(16, 8), scfg);
-        std::printf("=== Network serving (loopback TCP, epoll front "
-                    "door, pinned workers, %zu requests/row) ===\n\n",
-                    kNetRequests);
-        std::printf("%-14s %-14s %8s %8s %10s %9s %9s %9s %6s\n",
-                    "engine", "config", "threads", "clients", "req/s",
-                    "p50 ms", "p99 ms", "p99.9 ms", "shed");
-        const auto show = [&](const Result &r) {
-            std::printf("%-14s %-14s %8zu %8zu %10.1f %9.3f %9.3f "
-                        "%9.3f %6llu\n",
-                        r.engine, r.label.c_str(), r.threads,
-                        r.clients, r.reqPerSec, r.p50Ms, r.p99Ms,
-                        r.p999Ms,
-                        static_cast<unsigned long long>(r.shed));
-            results.push_back(r);
-        };
-        for (const std::size_t t : {1u, 2u, 4u, 8u, 16u}) {
-            show(runNetClosed(session, ConvEngine::WinogradBlocked,
-                              "net-loop-t" + std::to_string(t), t, 8,
-                              2 * t, kNetRequests, 0));
-            show(runNetOpen(session, ConvEngine::WinogradBlocked,
-                            "net-bulk-t" + std::to_string(t), t,
-                            kNetRequests));
-        }
-
-        // Overload pair: the unloaded row is the latency floor (one
-        // closed-loop client, batch 1); the overload row offers 8
-        // closed-loop clients against maxPending=2 so admission
-        // control sheds most of the load — its percentiles cover the
-        // ADMITTED requests, the bounded-latency claim.
-        const std::size_t hwNet = std::max<std::size_t>(
-            1, std::thread::hardware_concurrency());
-        show(runNetClosed(session, ConvEngine::WinogradBlocked,
-                          "net-unloaded", hwNet, 1, 1, 128, 0));
-        show(runNetClosed(session, ConvEngine::WinogradBlocked,
-                          "net-overload", hwNet, 1, 8, 512, 2));
-        std::printf("\n");
-    }
-
-    // Single-batch large-layer latency: the intra-batch parallelism /
-    // blocked-GEMM acceptance metric.
-    std::printf("=== Single-batch layer latency (blocked GEMM + "
-                "intra-batch parallelism, kernel=%s) ===\n",
-                gemm::kernelName());
-    {
-        const NetworkDesc net = microServeNet(8, 4);
-        const ConvLayerDesc *widest = nullptr;
-        for (const ConvLayerDesc &d : net.expandedLayers())
-            if (d.winogradEligible() &&
-                (!widest || d.macs() > widest->macs()))
-                widest = &d;
-        if (widest)
-            runLayerLatency(*widest, "micro8", 8, hw, results);
-        ConvLayerDesc wide;
-        wide.name = "wide-64";
-        wide.cin = 64;
-        wide.cout = 64;
-        wide.kernel = 3;
-        wide.stride = 1;
-        wide.height = 16;
-        wide.width = 16;
-        runLayerLatency(wide, "wide64", 8, hw, results);
-
-        // Quantized wide-64 single-batch latency of the NCHWc8
-        // blocked int8 engine on its steady-state blocked input (the
-        // wide64-int8-blocked row).
-        {
-            const EngineRegistry &registry = EngineRegistry::instance();
-            LayerBuild build;
-            build.params = ConvParams{3, 1, 1};
-            build.variant = WinoVariant::F2;
-            TensorD weights({wide.cout, wide.cin, 3, 3});
-            Rng wrng(0x18b);
-            wrng.fillNormal(weights.storage(), 0.0, 0.1);
-            TensorD calT({2, wide.cin, wide.height, wide.width});
-            Rng crng(0xca1);
-            crng.fillNormal(calT.storage(), 0.0, 1.0);
-            std::vector<TensorD> cal{calT};
-            build.calibration = &cal;
-            TensorD probe({8, wide.cin, wide.height, wide.width});
-            Rng prng(0x1e8);
-            prng.fillNormal(probe.storage(), 0.0, 1.0);
-            TensorD in(blockedShape(probe.shape()));
-            nchwToBlocked(probe, in);
-            ScratchArena arena;
-
-            const ConvEngine engine = ConvEngine::WinogradBlockedInt8;
-            const auto backend = registry.get(engine);
-            const auto prep = backend->prepare(wide, weights, build);
-            TensorD out(backend->outputShape(*prep, in.shape()));
-            backend->run(*prep, in, arena, out); // warmup
-            std::vector<double> ms;
-            constexpr int kIters = 60;
-            ms.reserve(kIters);
-            const auto wall0 = Clock::now();
-            for (int i = 0; i < kIters; ++i) {
-                const auto t0 = Clock::now();
-                backend->run(*prep, in, arena, out);
-                ms.push_back(
-                    std::chrono::duration<double, std::milli>(
-                        Clock::now() - t0)
-                        .count());
-            }
-            Result r;
-            r.engine = convEngineName(engine);
-            r.label = "wide64-int8-blocked";
-            r.threads = 1;
-            r.maxBatch = 8;
-            r.clients = 1;
-            r.requests = kIters;
-            r.wallSec = std::chrono::duration<double>(
-                            Clock::now() - wall0)
-                            .count();
-            r.reqPerSec = kIters / r.wallSec;
-            r.p50Ms = percentile(ms, 0.50);
-            r.p99Ms = percentile(ms, 0.99);
-            r.p999Ms = percentile(ms, 0.999);
-            r.avgBatch = 8.0;
-            results.push_back(r);
-            std::printf("layer wide-64 int8 p50: nchwc8 %.3f ms\n",
-                        r.p50Ms);
-        }
-
-        // Fused-epilogue and binary16-storage wide-64 rows: the fused
-        // row folds bias+ReLU into the blocked untile write; the
-        // unfused row runs the same conv then the separate bias/ReLU
-        // pass the fusion deletes; the fp16 row is the steady-state
-        // half-storage hot path (half activations in and out — the
-        // inter-layer regime, conversion seams excluded just like the
-        // blocked rows exclude layout conversion). Tracked in the
-        // JSON as wide64-fused / wide64-unfused / wide64-fp16.
-        {
-            const EngineRegistry &registry = EngineRegistry::instance();
-            LayerBuild build;
-            build.params = ConvParams{3, 1, 1};
-            build.variant = WinoVariant::F2;
-            TensorD weights({wide.cout, wide.cin, 3, 3});
-            Rng wrng(0xf16);
-            wrng.fillNormal(weights.storage(), 0.0, 0.1);
-            LayerBuild fbuild = build;
-            fbuild.epilogue.bias.assign(wide.cout, 0.0);
-            Rng brng(0xb1a);
-            brng.fillNormal(fbuild.epilogue.bias, 0.0, 0.1);
-            fbuild.epilogue.relu = true;
-
-            TensorD probe({8, wide.cin, wide.height, wide.width});
-            Rng prng(0xfe1);
-            prng.fillNormal(probe.storage(), 0.0, 1.0);
-            TensorD probeBlocked(blockedShape(probe.shape()));
-            nchwToBlocked(probe, probeBlocked);
-            TensorF16 probeHalf(probeBlocked.shape());
-            tensorDToF16(probeBlocked, probeHalf);
-            ScratchArena arena;
-
-            const auto blocked =
-                registry.get(ConvEngine::WinogradBlocked);
-            const auto f16 =
-                registry.get(ConvEngine::WinogradBlockedF16);
-            const auto prepPlain =
-                blocked->prepare(wide, weights, build);
-            const auto prepFused =
-                blocked->prepare(wide, weights, fbuild);
-            const auto prepHalf = f16->prepare(wide, weights, build);
-
-            const auto measureRow = [&](ConvEngine engine,
-                                        const char *label,
-                                        auto &&fn) {
-                fn(); // warmup
-                std::vector<double> ms;
-                constexpr int kIters = 60;
-                ms.reserve(kIters);
-                const auto wall0 = Clock::now();
-                for (int i = 0; i < kIters; ++i) {
-                    const auto t0 = Clock::now();
-                    fn();
-                    ms.push_back(
-                        std::chrono::duration<double, std::milli>(
-                            Clock::now() - t0)
-                            .count());
-                }
-                Result r;
-                r.engine = convEngineName(engine);
-                r.label = label;
-                r.threads = 1;
-                r.maxBatch = 8;
-                r.clients = 1;
-                r.requests = kIters;
-                r.wallSec = std::chrono::duration<double>(
-                                Clock::now() - wall0)
-                                .count();
-                r.reqPerSec = kIters / r.wallSec;
-                r.p50Ms = percentile(ms, 0.50);
-                r.p99Ms = percentile(ms, 0.99);
-                r.p999Ms = percentile(ms, 0.999);
-                r.avgBatch = 8.0;
-                results.push_back(r);
-                return r.p50Ms;
-            };
-
-            TensorD outF(blocked->outputShape(*prepFused,
-                                              probeBlocked.shape()));
-            const double pFused = measureRow(
-                ConvEngine::WinogradBlocked, "wide64-fused", [&] {
-                    blocked->run(*prepFused, probeBlocked, arena,
-                                 outF);
-                });
-            TensorD outP(blocked->outputShape(*prepPlain,
-                                              probeBlocked.shape()));
-            const std::vector<double> &bias = fbuild.epilogue.bias;
-            const double pSep = measureRow(
-                ConvEngine::WinogradBlocked, "wide64-unfused", [&] {
-                    blocked->run(*prepPlain, probeBlocked, arena,
-                                 outP);
-                    double *p = outP.data();
-                    const std::size_t hw =
-                        outP.shape()[2] * outP.shape()[3];
-                    for (std::size_t n = 0; n < outP.shape()[0]; ++n)
-                        for (std::size_t b = 0; b < outP.shape()[1];
-                             ++b)
-                            for (std::size_t i = 0; i < hw; ++i)
-                                for (std::size_t l = 0;
-                                     l < kLayoutBlock; ++l) {
-                                    const double v =
-                                        *p +
-                                        bias[b * kLayoutBlock + l];
-                                    *p++ = v < 0.0 ? 0.0 : v;
-                                }
-                });
-            TensorF16 outH(
-                f16->outputShape(*prepHalf, probeHalf.shape()));
-            const double pHalf = measureRow(
-                ConvEngine::WinogradBlockedF16, "wide64-fp16", [&] {
-                    f16->runF16(*prepHalf, probeHalf, arena, outH,
-                                RunContext{});
-                });
-            std::printf("layer wide-64 epilogue p50: fused %.3f ms, "
-                        "unfused+pass %.3f ms (%.2fx); fp16 storage "
-                        "%.3f ms (%.2fx vs fused fp32, kernel=%s)\n",
-                        pFused, pSep, pSep / pFused, pHalf,
-                        pFused / pHalf, layout::f16KernelName());
-        }
-
-        // What the measured per-layer policy picks for the wide layer
-        // (engine + variant + layout race, SessionConfig::autoSelect)
-        // — recorded in the JSON as the wide64-autosel row, whose
-        // engine field IS the selection.
-        NetworkDesc wideNet;
-        wideNet.name = "Wide64";
-        wideNet.inputRes = wide.height;
-        wideNet.layers.push_back(wide);
-        SessionConfig scfg;
-        scfg.autoSelect = true;
-        const auto session =
-            std::make_shared<const Session>(wideNet, scfg);
-        TensorD probe({8, wide.cin, wide.height, wide.width});
-        Rng prng(0x64);
-        prng.fillNormal(probe.storage(), 0.0, 1.0);
-        ScratchArena arena;
-        std::vector<double> ms;
-        session->run(probe, arena); // warmup
-        constexpr int kIters = 60;
-        // Trace the measured iterations and roll the spans up into
-        // the JSON's per-stage breakdown (aggregate() stops tracing).
-        // The timing loop itself is traced, but a span costs tens of
-        // nanoseconds against a multi-hundred-microsecond layer.
-        obs::TraceCollector::global().enable();
-        beginRowPerf();
-        const auto wall0 = Clock::now();
-        for (int i = 0; i < kIters; ++i) {
-            const auto t0 = Clock::now();
-            session->run(probe, arena);
-            ms.push_back(std::chrono::duration<double, std::milli>(
-                             Clock::now() - t0)
-                             .count());
-        }
-        stages = obs::TraceCollector::global().aggregate();
-        // Keep the per-stage counter rollup of this traced run for
-        // the JSON's stage_breakdown before endRowPerf resets it.
-        stagePerf = obs::PerfStageCollector::global().totals();
-        Result r;
-        r.engine = convEngineName(session->layerEngine(0));
-        r.label = "wide64-autosel";
-        r.threads = 1;
-        r.maxBatch = 8;
-        r.clients = 1;
-        r.requests = kIters;
-        r.wallSec =
-            std::chrono::duration<double>(Clock::now() - wall0).count();
-        r.reqPerSec = kIters / r.wallSec;
-        r.p50Ms = percentile(ms, 0.50);
-        r.p99Ms = percentile(ms, 0.99);
-        r.p999Ms = percentile(ms, 0.999);
-        r.avgBatch = 8.0;
-        endRowPerf(r);
-        results.push_back(r);
-        std::printf("autoSelect[wide-64] -> %s (%s), p50 %.3f ms "
-                    "(batch 8, includes ingress/egress conversion)\n",
-                    r.engine, winoName(session->layerVariant(0)),
-                    r.p50Ms);
-    }
-
-    writeJson(results, stages, stagePerf, "BENCH_runtime.json");
-    return 0;
+    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0)
+        return runSmoke() == 0 ? 0 : 1;
+    if (argc == 2 && std::strcmp(argv[1], "--obs-gate") == 0)
+        return runObsGate();
+    std::fprintf(stderr, "usage: %s --smoke|--obs-gate\n", argv[0]);
+    return 2;
 }

@@ -260,26 +260,16 @@ template void gemm(const float *, const float *, float *, std::size_t,
                    std::size_t, std::size_t, float *);
 template void gemm(const double *, const double *, double *,
                    std::size_t, std::size_t, std::size_t, double *);
-template void gemm(const std::int64_t *, const std::int64_t *,
-                   std::int64_t *, std::size_t, std::size_t,
-                   std::size_t, std::int64_t *);
 template void gemmCols(const float *, const float *, float *,
                        std::size_t, std::size_t, std::size_t,
                        std::size_t, std::size_t, float *);
 template void gemmCols(const double *, const double *, double *,
                        std::size_t, std::size_t, std::size_t,
                        std::size_t, std::size_t, double *);
-template void gemmCols(const std::int64_t *, const std::int64_t *,
-                       std::int64_t *, std::size_t, std::size_t,
-                       std::size_t, std::size_t, std::size_t,
-                       std::int64_t *);
 template void gemmTN(const float *, const float *, float *, std::size_t,
                      std::size_t, std::size_t, float *);
 template void gemmTN(const double *, const double *, double *,
                      std::size_t, std::size_t, std::size_t, double *);
-template void gemmTN(const std::int64_t *, const std::int64_t *,
-                     std::int64_t *, std::size_t, std::size_t,
-                     std::size_t, std::int64_t *);
 template void gemmNT(const float *, const float *, float *, std::size_t,
                      std::size_t, std::size_t);
 template void gemmNT(const double *, const double *, double *,

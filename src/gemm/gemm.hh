@@ -3,8 +3,7 @@
  * Unified blocked micro-kernel GEMM subsystem.
  *
  * Every flat [rows, K] x [K, cols] product in the library — the t*t
- * per-tap Winograd products (winograd/tiled.cc), the integer taps of
- * the quantized pipeline (quant/int_winograd.cc), packed im2col
+ * per-tap Winograd products (winograd/tiled.cc), packed im2col
  * (tensor/im2col.cc) and the training forward/backward
  * (nn/wino_conv.cc) — routes through this one core instead of
  * hand-rolling a naive triple loop.
@@ -236,28 +235,18 @@ extern template void gemm(const float *, const float *, float *,
 extern template void gemm(const double *, const double *, double *,
                           std::size_t, std::size_t, std::size_t,
                           double *);
-extern template void gemm(const std::int64_t *, const std::int64_t *,
-                          std::int64_t *, std::size_t, std::size_t,
-                          std::size_t, std::int64_t *);
 extern template void gemmCols(const float *, const float *, float *,
                               std::size_t, std::size_t, std::size_t,
                               std::size_t, std::size_t, float *);
 extern template void gemmCols(const double *, const double *, double *,
                               std::size_t, std::size_t, std::size_t,
                               std::size_t, std::size_t, double *);
-extern template void gemmCols(const std::int64_t *,
-                              const std::int64_t *, std::int64_t *,
-                              std::size_t, std::size_t, std::size_t,
-                              std::size_t, std::size_t, std::int64_t *);
 extern template void gemmTN(const float *, const float *, float *,
                             std::size_t, std::size_t, std::size_t,
                             float *);
 extern template void gemmTN(const double *, const double *, double *,
                             std::size_t, std::size_t, std::size_t,
                             double *);
-extern template void gemmTN(const std::int64_t *, const std::int64_t *,
-                            std::int64_t *, std::size_t, std::size_t,
-                            std::size_t, std::int64_t *);
 extern template void gemmNT(const float *, const float *, float *,
                             std::size_t, std::size_t, std::size_t);
 extern template void gemmNT(const double *, const double *, double *,

@@ -22,53 +22,38 @@ constexpr std::size_t kB = kLayoutBlock;
 } // namespace
 
 BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
-    : conv_(&conv), cout_(conv.cout()), cin_(conv.cin()),
+    : cfg_(conv.config()), sx_(conv.inputScale()),
+      sb_(conv.inputTapScale()), cout_(conv.cout()), cin_(conv.cin()),
       coutb_(layoutBlocks(conv.cout())),
       cinb_(layoutBlocks(conv.cin()))
 {
-    const IntWinogradConfig &cfg = conv.config();
-    const WinoSpec spec = winoSpec(cfg.variant);
+    const WinoSpec spec = winoSpec(cfg_.variant);
     const std::size_t tt = spec.t * spec.t;
     const std::size_t cinp = cinb_ * kB;
 
     // Wrap-free int32 accumulation in the widening tap GEMM:
     // |w|, |u| <= 2^(winogradBits - 1), summed over cinp lanes.
     const std::int64_t mag = std::int64_t{1}
-                             << (cfg.winogradBits - 1);
+                             << (cfg_.winogradBits - 1);
     twq_assert(static_cast<std::int64_t>(cinp) * mag * mag <
                    (std::int64_t{1} << 31),
                "blocked int winograd: channel count too large for "
                "exact int32 accumulation at this bit width");
     // The int32 kron of the B-transform is bounded by the plan's
     // coefficient mass (< 2^7 for F2/F4) times the spatial range.
-    twq_assert(cfg.spatialBits <= 16,
+    twq_assert(cfg_.spatialBits <= 16,
                "blocked int winograd: spatial bit width too large "
                "for the int32 transform buffers");
 
-    // Re-lay the quantized tap-major weights [t*t][Cout][Cin]
-    // pair-interleaved for the widening kernel:
-    // [t*t][coutb][cinp/2][8][2], zero-padded rows/columns.
+    // Re-lay the quantized tap-major weights [t*t][Cout][Cin] for the
+    // tap kernel this host and bit width select. 8-bit operands on a
+    // vpdpbusd host take the quad-interleaved u8-kernel weights
+    // [t*t][coutb][cinp/4][8][4] plus the per-(tap, lane) bias
+    // compensation 128 * sum_ic w; everything else takes the
+    // pair-interleaved int16 weights [t*t][coutb][cinp/2][8][2].
+    // Padded rows/columns are zero.
     const std::vector<std::int64_t> &taps = conv.tapWeights();
-    wq16_.assign(tt * coutb_ * cinp * kB, 0);
-    for (std::size_t k = 0; k < tt; ++k) {
-        for (std::size_t oc = 0; oc < cout_; ++oc) {
-            for (std::size_t ic = 0; ic < cin_; ++ic) {
-                const std::int64_t v =
-                    taps[(k * cout_ + oc) * cin_ + ic];
-                wq16_[(((k * coutb_ + oc / kB) * (cinp / 2) +
-                        ic / 2) *
-                           kB +
-                       oc % kB) *
-                          2 +
-                      ic % 2] = static_cast<std::int16_t>(v);
-            }
-        }
-    }
-
-    // 8-bit operands on a vpdpbusd host additionally pack the
-    // quad-interleaved u8-kernel weights [t*t][coutb][cinp/4][8][4]
-    // and the per-(tap, lane) bias compensation 128 * sum_ic w.
-    use8_ = cfg.winogradBits <= 8 &&
+    use8_ = cfg_.winogradBits <= 8 &&
             layout::kernels().tapGemmU8 != nullptr;
     if (use8_) {
         wq8_.assign(tt * coutb_ * cinp * kB, 0);
@@ -90,28 +75,38 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
                 comp_[k * coutb_ * kB + oc] = 128 * sum;
             }
         }
+    } else {
+        wq16_.assign(tt * coutb_ * cinp * kB, 0);
+        for (std::size_t k = 0; k < tt; ++k) {
+            for (std::size_t oc = 0; oc < cout_; ++oc) {
+                for (std::size_t ic = 0; ic < cin_; ++ic) {
+                    const std::int64_t v =
+                        taps[(k * cout_ + oc) * cin_ + ic];
+                    wq16_[(((k * coutb_ + oc / kB) * (cinp / 2) +
+                            ic / 2) *
+                               kB +
+                           oc % kB) *
+                              2 +
+                          ic % 2] = static_cast<std::int16_t>(v);
+                }
+            }
+        }
     }
 
     // Per-(tap, lane) FP dequant scales with sx folded in; padded
     // lanes scale by zero, which pins them to exact 0.0 in the
     // output without a separate clearing pass.
-    {
-        const MatrixD &sb = conv.inputTapScale();
-        const ScaleSet &ws = conv.weightScales();
-        const double sx = conv.inputScale();
-        sbgSx_.assign(tt * coutb_ * kB, 0.0);
-        for (std::size_t k = 0; k < tt; ++k)
-            for (std::size_t oc = 0; oc < cout_; ++oc)
-                sbgSx_[k * coutb_ * kB + oc] =
-                    sb(k / spec.t, k % spec.t) *
-                    ws.at(oc, k / spec.t, k % spec.t) * sx;
-    }
+    const ScaleSet &ws = conv.weightScales();
+    sbgSx_.assign(tt * coutb_ * kB, 0.0);
+    for (std::size_t k = 0; k < tt; ++k)
+        for (std::size_t oc = 0; oc < cout_; ++oc)
+            sbgSx_[k * coutb_ * kB + oc] =
+                sb_(k / spec.t, k % spec.t) *
+                ws.at(oc, k / spec.t, k % spec.t) * sx_;
 
     // Per-channel common scale + relative shifts for the fully
     // integer path (defined for power-of-two scales only).
-    if (cfg.pow2Scales) {
-        const MatrixD &sb = conv.inputTapScale();
-        const ScaleSet &ws = conv.weightScales();
+    if (cfg_.pow2Scales) {
         comLog2_.resize(cout_);
         relShift_.assign(cout_, std::vector<int>(tt, 0));
         for (std::size_t oc = 0; oc < cout_; ++oc) {
@@ -120,7 +115,7 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
             for (std::size_t i = 0; i < spec.t; ++i) {
                 for (std::size_t j = 0; j < spec.t; ++j) {
                     const double sbg =
-                        sb(i, j) * ws.at(oc, i, j);
+                        sb_(i, j) * ws.at(oc, i, j);
                     logs[i * spec.t + j] = log2Exact(sbg);
                     lo = std::min(lo, logs[i * spec.t + j]);
                 }
@@ -136,10 +131,8 @@ void
 BlockedIntWinograd::quantizeInput(const TensorD &input,
                                   TensorI32 &xq) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     twq_assert(input.dim(1) == cinb_,
                "input channel blocks do not match prepared weights");
-    const double sx = conv_->inputScale();
 
     // Spatial-domain quantization of the blocked input in place of
     // layout (padded lanes hold 0.0 and quantize to 0). Power-of-two
@@ -150,16 +143,16 @@ BlockedIntWinograd::quantizeInput(const TensorD &input,
     TWQ_STAGE_PERF("winoc8i.quantize");
     if (xq.shape() != input.shape())
         xq = TensorI32(input.shape());
-    if (cfg.pow2Scales) {
+    if (cfg_.pow2Scales) {
         layout::kernels().quantizeI32(
-            input.data(), 1.0 / sx,
-            static_cast<double>(quantMin(cfg.spatialBits)),
-            static_cast<double>(quantMax(cfg.spatialBits)), xq.data(),
+            input.data(), 1.0 / sx_,
+            static_cast<double>(quantMin(cfg_.spatialBits)),
+            static_cast<double>(quantMax(cfg_.spatialBits)), xq.data(),
             input.numel());
     } else {
         for (std::size_t i = 0; i < input.numel(); ++i)
             xq[i] = static_cast<std::int32_t>(
-                quantize(input[i], sx, cfg.spatialBits));
+                quantize(input[i], sx_, cfg_.spatialBits));
     }
 }
 
@@ -171,8 +164,7 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
                                     std::int32_t *M,
                                     gemm::ParallelRunner *runner) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
-    const WinoDims d = winoDimsBlocked(xq.shape(), cfg.variant, cfg.pad);
+    const WinoDims d = winoDimsBlocked(xq.shape(), cfg_.variant, cfg_.pad);
     const std::size_t t = d.t;
     const std::size_t tt = t * t;
     const std::size_t tiles = (g1 - g0) * d.tilesX;
@@ -183,7 +175,7 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
     {
         TWQ_SPAN("winoc8i.gather");
         TWQ_STAGE_PERF("winoc8i.gather");
-        winogradGatherTileRowsBlocked(xq, cfg.variant, cfg.pad, g0, g1,
+        winogradGatherTileRowsBlocked(xq, cfg_.variant, cfg_.pad, g0, g1,
                                       V);
     }
     const std::size_t rowLen = cinb_ * tiles * kB;
@@ -191,9 +183,8 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
         TWQ_SPAN("winoc8i.bkron");
         TWQ_STAGE_PERF("winoc8i.bkron");
         layout::kernels().kronI32(
-            winoInputKron<std::int32_t>(cfg.variant), V, rowLen, U32);
+            winoInputKron<std::int32_t>(cfg_.variant), V, rowLen, U32);
     }
-    const MatrixD &sb = conv_->inputTapScale();
     if (use8_) {
         TWQ_SPAN("winoc8i.requant");
         TWQ_STAGE_PERF("winoc8i.requant");
@@ -202,11 +193,11 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
         for (std::size_t k = 0; k < tt; ++k) {
             const std::int32_t *src = U32 + k * rowLen;
             std::uint8_t *row = U8 + k * rowLen;
-            const double s = sb(k / t, k % t);
+            const double s = sb_(k / t, k % t);
             if (useShifts) {
                 layout::kernels().rescaleU8(src, row, rowLen,
                                             log2Exact(s),
-                                            cfg.winogradBits);
+                                            cfg_.winogradBits);
             } else {
                 // Round half away from zero, matching the
                 // shift-based path exactly for power-of-two scales.
@@ -215,7 +206,7 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
                         std::round(static_cast<double>(src[l]) / s);
                     row[l] = static_cast<std::uint8_t>(
                         clampSigned(static_cast<std::int64_t>(r),
-                                    cfg.winogradBits) +
+                                    cfg_.winogradBits) +
                         128);
                 }
             }
@@ -226,12 +217,12 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
         for (std::size_t k = 0; k < tt; ++k) {
             const std::int32_t *src = U32 + k * rowLen;
             std::int16_t *row = U16 + k * rowLen;
-            const double s = sb(k / t, k % t);
+            const double s = sb_(k / t, k % t);
             if (useShifts) {
                 // Shift-based hardware rescale (vectorized).
                 layout::kernels().rescaleI16(src, row, rowLen,
                                              log2Exact(s),
-                                             cfg.winogradBits);
+                                             cfg_.winogradBits);
             } else {
                 // Round half away from zero, matching the
                 // shift-based path exactly for power-of-two scales.
@@ -240,7 +231,7 @@ BlockedIntWinograd::scatterGemmRows(const TensorI32 &xq, std::size_t g0,
                         std::round(static_cast<double>(src[l]) / s);
                     row[l] = static_cast<std::int16_t>(
                         clampSigned(static_cast<std::int64_t>(r),
-                                    cfg.winogradBits));
+                                    cfg_.winogradBits));
                 }
             }
         }
@@ -289,9 +280,8 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                                 gemm::ParallelRunner *runner,
                                 const double *bias8, bool relu) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     twq_assert(out.rank() == 5 && out.dim(0) == d.n &&
                    out.dim(1) == coutb_ && out.dim(2) == d.ho &&
                    out.dim(3) == d.wo && out.dim(4) == kB,
@@ -328,7 +318,7 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
         // exactly for power-of-two scales; shifts are integer-only
         // and markedly cheaper, so the FP path takes them whenever
         // the config allows.
-        scatterGemmRows(xq, g0, g1, /*useShifts=*/cfg.pow2Scales, v,
+        scatterGemmRows(xq, g0, g1, /*useShifts=*/cfg_.pow2Scales, v,
                         u32, u16, u8, m, runner);
 
         // Dequant gather, vectorized blocked form: the tap-wise S_BG
@@ -350,13 +340,13 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
         {
             TWQ_SPAN("winoc8i.akron");
             TWQ_STAGE_PERF("winoc8i.akron");
-            layout::kernels().kron(winoOutputKron<double>(cfg.variant),
+            layout::kernels().kron(winoOutputKron<double>(cfg_.variant),
                                    md, coutb_ * tiles * kB, y);
         }
         {
             TWQ_SPAN("winoc8i.untile");
             TWQ_STAGE_PERF("winoc8i.untile");
-            winogradUntileTileRowsBlocked(y, cfg.variant, g0, g1, out,
+            winogradUntileTileRowsBlocked(y, cfg_.variant, g0, g1, out,
                                           bias8, relu);
         }
     }
@@ -365,9 +355,8 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
 TensorD
 BlockedIntWinograd::forward(const TensorD &input) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     TensorI32 xq, V, U32, M;
     TensorI16 U16;
     TensorI8 U8;
@@ -382,14 +371,12 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
                                 double *out_scale,
                                 bool fuse_relu) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
-    twq_assert(cfg.pow2Scales,
+    twq_assert(cfg_.pow2Scales,
                "forwardInt8 requires power-of-two scales");
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     const std::size_t tt = d.t * d.t;
     const std::size_t hw = d.ho * d.wo;
-    const double sx = conv_->inputScale();
 
     // Pass 1: blocked integer pipeline into a blocked int64 spatial
     // output, all tile rows at once. This is the oracle-parity path,
@@ -432,10 +419,10 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     // Integer A-transform as Kronecker row passes (exact), untiled
     // into the blocked spatial int64 output.
     TensorI64 Y64({d.m * d.m, coutb_, d.tiles, kB});
-    applyKron(winoOutputKron<std::int64_t>(cfg.variant), M64.data(),
+    applyKron(winoOutputKron<std::int64_t>(cfg_.variant), M64.data(),
               coutb_ * d.tiles * kB, Y64.data());
     TensorI64 raw({d.n, coutb_, d.ho, d.wo, kB});
-    winogradUntileBlocked(Y64, cfg.variant, raw);
+    winogradUntileBlocked(Y64, cfg_.variant, raw);
 
     // Pass 2: pick a power-of-two output scale covering the observed
     // range over the logical lanes and requantize with shifts —
@@ -450,7 +437,7 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
             for (std::size_t i = 0; i < hw; ++i) {
                 const double real =
                     static_cast<double>(src[i * kB]) *
-                    std::exp2(comLog2_[oc]) * sx;
+                    std::exp2(comLog2_[oc]) * sx_;
                 abs_max = std::max(abs_max, std::abs(real));
             }
         }
@@ -459,7 +446,7 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     if (out_scale)
         *out_scale = sy;
     const int sy_log2 = log2Exact(sy);
-    const int sx_log2 = log2Exact(sx);
+    const int sx_log2 = log2Exact(sx_);
 
     TensorI8 out({d.n, coutb_, d.ho, d.wo, kB}); // padded lanes stay 0
     for (std::size_t in = 0; in < d.n; ++in) {

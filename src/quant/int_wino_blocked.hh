@@ -1,12 +1,9 @@
 /**
  * @file
- * NCHWc8 blocked-layout integer Winograd execution: the quantized
- * residue-GEMM pipeline of quant/int_winograd.hh re-laid so the
- * c-block is the SIMD lane dimension end to end, closing the last
- * major path that still ran strided NCHW.
- *
- * The pipeline stages mirror IntWinogradConv::scatterGemm exactly,
- * on blocked buffers:
+ * The int8 tap-wise Winograd engine: the quantized pipeline of
+ * quant/int_winograd.hh run on the NCHWc8 blocked layout, with the
+ * c-block as the SIMD lane dimension end to end. Stages (forwardInto
+ * runs every stage after quantize one chunk of tile rows at a time):
  *
  *   quantize  blocked f64 input -> int32 xq, elementwise (padded
  *             lanes quantize 0 -> 0, so they stay invisible)
@@ -16,31 +13,28 @@
  *             rows (applyKron<int32>)
  *   rescale   the per-tap S_B requantization, clamped to
  *             `winogradBits` — which always fits int16, so the GEMM
- *             operand narrows to U16 [t*t, Cinb, P, 8]
- *   GEMM      per-tap widening int16 x int16 -> int32 products on
- *             pair-interleaved blocked weights with the c-block as
- *             the SIMD lane dimension (layout::TapGemmI16Fn kernels:
- *             AVX2 vpmaddwd / NEON smlal / scalar)
- *   rescale   per GEMM slice, exactly like the NCHW path: the FP
- *             gather multiplies each tap slice by S_BG (a per-lane
- *             scale vector, with sx folded in); the fully integer
- *             path left-shifts each (tap, oc) slice to the channel's
- *             common power-of-two scale
+ *             operand narrows to U16 [t*t, Cinb, P, 8] (or to biased
+ *             u8 for the 8-bit VNNI kernel)
+ *   GEMM      per-tap widening products on interleaved blocked
+ *             weights with the c-block as the SIMD lane dimension
+ *             (layout::TapGemmI16Fn / TapGemmU8Fn kernels)
+ *   rescale   per GEMM slice: the FP dequant multiplies each tap
+ *             slice by S_BG (a per-lane scale vector, with sx folded
+ *             in); the fully integer path left-shifts each (tap, oc)
+ *             slice to the channel's common power-of-two scale
  *
- * Every integer stage computes the same order-free sums as the NCHW
- * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
- * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
- * of forwardInto runs the vectorized blocked form — per-lane fused
- * S_BG * s_x scaling, Kronecker row passes through the dispatched
- * kron kernel, blocked untile. The NCHW pipeline's gather
- * (IntWinogradConv::forward) is specified in the same row-pass order
- * over the same fused scales and the same dispatched kernel, so the
- * blocked FP dequant is bit-identical to it (modulo layout), not
- * merely tolerance-equal; its
- * result is deterministic and independent of batch size and
- * sharding. Overflow is excluded by construction:
- * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32
- * accumulation over cinb*8 channels is wrap-free for any channel
+ * Every integer stage computes the same order-free sums as the
+ * tile-at-a-time oracles, so forwardInt8 is bit-identical to
+ * IntWinogradConv::forwardInt8 (modulo the NCHWc8 layout of the
+ * returned tensors). The FP dequant of forwardInto runs the
+ * vectorized blocked form — per-lane fused S_BG * s_x scaling,
+ * Kronecker row passes through the dispatched kron kernel, blocked
+ * untile — and IntWinogradConv::forward is specified in the same
+ * row-pass order over the same fused scales and the same kernel, so
+ * forwardInto is bit-identical to it too; its result is deterministic
+ * and independent of batch size and sharding. Overflow is excluded by
+ * construction: operands are bounded by 2^(winogradBits-1) <= 2^9, so
+ * int32 accumulation over cinb*8 channels is wrap-free for any channel
  * count the constructor accepts (asserted).
  */
 
@@ -56,10 +50,10 @@ namespace twq
 {
 
 /**
- * The blocked execution state derived from a prepared IntWinogradConv:
- * shares its scales and quantized weights (re-laid pair-interleaved
- * for the widening tap kernel) and runs the blocked pipeline against
- * the same oracles. The source conv must outlive this object.
+ * The blocked execution state of a layer, derived from a prepared
+ * IntWinogradConv: its config, scales and quantized weights (re-laid
+ * interleaved for the widening tap kernel). It copies everything it
+ * reads, so the source conv may be destroyed once this is built.
  */
 class BlockedIntWinograd
 {
@@ -78,12 +72,11 @@ class BlockedIntWinograd
      * non-null `runner` shards the per-tap GEMMs
      * (bit-identical to serial — integer sums are order-free, and
      * the FP dequant is elementwise/row-pass, so results never
-     * depend on batch size or sharding). Tolerance-equal to
-     * IntWinogradConv::forward on the equivalent NCHW input (exact
-     * integer stages; the FP back-transform differs in FMA
-     * contraction order, like the FP blocked pipeline). A non-null
-     * `bias8` ([Coutb*8], tail lanes zero) and `relu` are the fused
-     * FP epilogue of the blocked untile (winogradUntileBlocked).
+     * depend on batch size or sharding). Bit-identical to
+     * IntWinogradConv::forward on the equivalent NCHW input. A
+     * non-null `bias8` ([Coutb*8], tail lanes zero) and `relu` are
+     * the fused FP epilogue of the blocked untile
+     * (winogradUntileBlocked).
      */
     void forwardInto(const TensorD &input, TensorI32 &xq, TensorI32 &V,
                      TensorI32 &U32, TensorI16 &U16, TensorI8 &U8,
@@ -101,7 +94,7 @@ class BlockedIntWinograd
      * output transform and requantization run with integer adds and
      * shifts only. Returns the NCHWc8 int8 output (padded lanes
      * zero); logical lanes are bit-identical to
-     * IntWinogradConv::forwardInt8Reference.
+     * IntWinogradConv::forwardInt8.
      */
     TensorI8 forwardInt8(const TensorD &input, double *out_scale,
                          bool fuse_relu = false) const;
@@ -110,7 +103,7 @@ class BlockedIntWinograd
     std::size_t cin() const { return cin_; }
     std::size_t coutb() const { return coutb_; }
     std::size_t cinb() const { return cinb_; }
-    const IntWinogradConfig &config() const { return conv_->config(); }
+    const IntWinogradConfig &config() const { return cfg_; }
 
   private:
     /// Spatial quantization of the whole blocked input into xq.
@@ -130,21 +123,25 @@ class BlockedIntWinograd
                          std::int32_t *M,
                          gemm::ParallelRunner *runner) const;
 
-    const IntWinogradConv *conv_;
+    IntWinogradConfig cfg_;
+    double sx_ = 1.0; ///< spatial activation scale s_x
+    MatrixD sb_;      ///< [t,t] integer-domain input divisors S_B
     std::size_t cout_ = 0;
     std::size_t cin_ = 0;
     std::size_t coutb_ = 0;
     std::size_t cinb_ = 0;
-    /// Quantized tap weights re-laid for the widening kernel:
-    /// [t*t][coutb][cinp/2][8][2] int16, pair-interleaved along the
-    /// input channels; rows past Cout and columns past Cin are zero.
-    std::vector<std::int16_t> wq16_;
     /// Take the u8 x s8 tap kernel: 8-bit Winograd domain on a host
-    /// providing layout::LayoutKernels::tapGemmU8 (VNNI).
+    /// providing layout::LayoutKernels::tapGemmU8 (VNNI). Only the
+    /// chosen kernel's weight layout is built.
     bool use8_ = false;
-    /// Quad-interleaved signed weights [t*t][coutb][cinp/4][8][4]
-    /// and the per-(tap, output-lane) bias compensation
-    /// 128 * sum_ic w ([t*t][coutb*8]) for the u8 kernel.
+    /// int16 kernel: quantized tap weights [t*t][coutb][cinp/2][8][2],
+    /// pair-interleaved along the input channels; rows past Cout and
+    /// columns past Cin are zero. Empty when use8_.
+    std::vector<std::int16_t> wq16_;
+    /// u8 kernel: quad-interleaved signed weights
+    /// [t*t][coutb][cinp/4][8][4] and the per-(tap, output-lane) bias
+    /// compensation 128 * sum_ic w ([t*t][coutb*8]). Empty unless
+    /// use8_.
     std::vector<std::int8_t> wq8_;
     std::vector<std::int32_t> comp_;
     /// Per-(tap, lane) dequant scales S_BG * sx for the FP gather:

@@ -13,14 +13,12 @@
  * quantization that breaks F4 accuracy; tap-wise granularity is the
  * paper's contribution.
  *
- * Execution uses the flat tap-major scatter–GEMM–gather layout
- * (winograd/tiled.hh): quantized input tiles are scattered into one
- * [t*t, Cin, P] int64 buffer, the channel reduction runs as t*t
- * independent [Cout, Cin] x [Cin, P] integer GEMMs, and the tap-wise
- * S_BG rescale is applied per GEMM slice in the gather. Integer
- * summation is order-independent, so the tiled path is bit-identical
- * to the tile-at-a-time reference (forwardReference /
- * forwardInt8Reference), which is kept as the oracle.
+ * IntWinogradConv is the quantizer (it calibrates s_x, S_B and S_G and
+ * quantizes the transformed weights) and the tile-at-a-time oracle:
+ * forward and forwardInt8 run one [t, t] tile at a time, the
+ * formulation the paper writes down. The fast implementation is
+ * BlockedIntWinograd (quant/int_wino_blocked.hh), built from a
+ * prepared IntWinogradConv and held bit-identical to these oracles.
  */
 
 #ifndef TWQ_QUANT_INT_WINOGRAD_HH
@@ -75,38 +73,20 @@ class IntWinogradConv
                     CalibrationCache *calCache = nullptr);
 
     /**
-     * Run quantized inference through the tiled scatter–GEMM–gather
-     * pipeline; returns the dequantized FP output. Bit-identical to
-     * forwardReference().
+     * Run quantized inference one tile at a time; returns the
+     * dequantized FP output. The FP dequant follows the row-pass
+     * (Kronecker) order over the fused S_BG * s_x scale, through the
+     * dispatched kron kernel, so the blocked engine's vectorized
+     * dequant is bit-identical to it.
      */
     TensorD forward(const TensorD &input) const;
-
-    /**
-     * Tiled forward writing into caller-provided buffers: `xq` holds
-     * the quantized input, `V` the raw tiles, `U`/`M` the
-     * scatter/GEMM planes, `Md`/`Y` the FP dequant and back-transform
-     * planes (reshaped as needed), `out` the pre-shaped
-     * [N, Cout, Ho, Wo] result. With reused buffers the steady
-     * state performs no allocations. Bit-identical to
-     * forwardReference().
-     */
-    void forwardInto(const TensorD &input, TensorI64 &xq, TensorI64 &V,
-                     TensorI64 &U, TensorI64 &M, TensorD &Md,
-                     TensorD &Y, TensorD &out) const;
-
-    /**
-     * Tile-at-a-time reference implementation (the original
-     * formulation, one [t, t] Matrix per step). Kept as the oracle
-     * the tiled path is verified against.
-     */
-    TensorD forwardReference(const TensorD &input) const;
 
     /**
      * Fully integer inference path (requires pow2Scales): the S_BG
      * rescale, the output transform, and the final requantization to
      * int8 are carried out with integer adds and shifts only, the
-     * way the FixPipe/Vector Unit does it on the accelerator. Runs
-     * tiled; bit-identical to forwardInt8Reference().
+     * way the FixPipe/Vector Unit does it on the accelerator. Runs one
+     * tile at a time, like forward().
      *
      * @param input     FP input (quantized internally with s_x).
      * @param out_scale output: the power-of-two scale of the
@@ -116,11 +96,6 @@ class IntWinogradConv
      */
     TensorI8 forwardInt8(const TensorD &input, double *out_scale,
                          bool fuse_relu = false) const;
-
-    /** Tile-at-a-time reference of forwardInt8 (the oracle). */
-    TensorI8 forwardInt8Reference(const TensorD &input,
-                                  double *out_scale,
-                                  bool fuse_relu = false) const;
 
     std::size_t cout() const { return cout_; }
     std::size_t cin() const { return cin_; }
@@ -150,14 +125,15 @@ class IntWinogradConv
     const IntWinogradConfig &config() const { return cfg_; }
 
   private:
-    /// Tiled integer pipeline shared by forward and forwardInt8:
-    /// quantize + scatter (spatial->Winograd with the S_B rescale) and
-    /// the per-tap GEMM. `useShifts` selects the shift-based rescale
-    /// (forwardInt8) over round(x/s) (forward); both are identical
-    /// for power-of-two scales.
-    void scatterGemm(const TensorD &input, bool useShifts,
-                     TensorI64 &xq, TensorI64 &V, TensorI64 &U,
-                     TensorI64 &M) const;
+    /// Integer pipeline shared by forward and forwardInt8: quantize
+    /// the input, then per output tile transform each input channel,
+    /// requantize by S_B (shifts when `useShifts`, else round(x/s);
+    /// identical for power-of-two scales) and reduce over channels.
+    /// Calls emit(n, ty, tx, oc, acc) with the [t, t] integer tap
+    /// products of every output channel; emit may modify acc.
+    template <typename Emit>
+    void forEachTileProduct(const TensorD &input, bool useShifts,
+                            Emit &&emit) const;
 
     IntWinogradConfig cfg_;
     std::size_t cout_;
@@ -165,18 +141,13 @@ class IntWinogradConv
     double sx_ = 1.0;          ///< spatial activation scale
     MatrixD sb_;               ///< [t,t] integer-domain input divisors
     ScaleSet wscales_;         ///< Winograd-domain weight scales
-    /// Quantized Winograd-domain weights, one [t,t] tile per
-    /// (oc, ic), values in `winogradBits` range (reference layout).
-    std::vector<MatrixI64> wq_;
-    /// The same weights re-laid tap-major [t*t][cout][cin] for the
-    /// per-tap GEMM.
+    /// Quantized Winograd-domain weights, tap-major
+    /// [t*t][cout][cin], values in `winogradBits` range.
     std::vector<std::int64_t> wqTaps_;
     /// Fused FP dequant scales S_B ⊙ S_G ⊙ s_x per (tap, oc),
     /// [t*t * cout], computed in the same association order as the
     /// blocked engine's sbgSx_ table so both dequants see identical
-    /// doubles. The gather is specified in row-pass (Kronecker) order
-    /// over this fused scale — the vectorized blocked path is
-    /// bit-identical to it, not merely tolerance-equal.
+    /// doubles.
     std::vector<double> dqScale_;
 };
 

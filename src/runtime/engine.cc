@@ -261,12 +261,12 @@ class WinogradBlockedBackend : public ConvBackend
 
 struct WinogradBlockedInt8Prepared : PreparedLayer
 {
-    /// Owns the quantized weights and scales (the NCHW prepared
-    /// state the blocked execution derives from).
-    std::unique_ptr<IntWinogradConv> conv;
-    /// Blocked pair-interleaved weights + blocked execution; borrows
-    /// `conv`, so declaration order matters.
-    std::unique_ptr<BlockedIntWinograd> blocked;
+    explicit WinogradBlockedInt8Prepared(const IntWinogradConv &conv)
+        : blocked(conv)
+    {}
+
+    /// Quantized interleaved weights, scales and blocked execution.
+    BlockedIntWinograd blocked;
     ScratchArena::Slot quantized = 0; ///< int32 blocked-input slot
     /// Tile-buffer slots holding one chunk of tile rows, shared by
     /// every layer (ScratchArena::buffer).
@@ -284,10 +284,11 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
 /**
  * int8 tap-wise quantized Winograd on the NCHWc8 blocked activation
  * layout (quant/int_wino_blocked.hh): blocked tiles quantize in
- * place, the per-tap widening GEMM runs the int16 c-block kernel,
- * and the tap-wise S_BG rescale is applied per GEMM slice — outputs
- * are bit-identical to IntWinogradConv::forward and forwardReference
- * (and to forwardInt8Reference on the fully integer path).
+ * place, the per-tap widening GEMM runs the int16 or biased-u8
+ * c-block kernel, and the tap-wise S_BG rescale is applied per GEMM
+ * slice — outputs are bit-identical to the tile-at-a-time oracle
+ * IntWinogradConv::forward. prepare() quantizes through a local
+ * IntWinogradConv; the prepared layer keeps only the blocked state.
  */
 class WinogradBlockedInt8Backend : public ConvBackend
 {
@@ -330,11 +331,9 @@ class WinogradBlockedInt8Backend : public ConvBackend
         IntWinogradConfig cfg = build.quant;
         cfg.variant = build.variant;
         cfg.pad = build.params.pad;
-        auto prep = std::make_shared<WinogradBlockedInt8Prepared>();
-        prep->conv = std::make_unique<IntWinogradConv>(
-            weights, *build.calibration, cfg, build.calCache);
-        prep->blocked =
-            std::make_unique<BlockedIntWinograd>(*prep->conv);
+        const IntWinogradConv conv(weights, *build.calibration, cfg,
+                                   build.calCache);
+        auto prep = std::make_shared<WinogradBlockedInt8Prepared>(conv);
         prep->quantized = layerSlot("winoc8i.xq", desc.name);
         prep->tiles = ScratchArena::resolve("winoc8i.V");
         prep->scatter = ScratchArena::resolve("winoc8i.U32");
@@ -358,8 +357,8 @@ class WinogradBlockedInt8Backend : public ConvBackend
         twq_assert(input.size() == 5 && input[4] == kLayoutBlock,
                    "winograd-blocked-int8 backend expects NCHWc8 "
                    "input");
-        const ConvParams cp{3, 1, p.conv->config().pad};
-        return {input[0], p.blocked->coutb(), cp.outSize(input[2]),
+        const ConvParams cp{3, 1, p.blocked.config().pad};
+        return {input[0], p.blocked.coutb(), cp.outSize(input[2]),
                 cp.outSize(input[3]), kLayoutBlock};
     }
 
@@ -371,17 +370,17 @@ class WinogradBlockedInt8Backend : public ConvBackend
         const auto &p =
             static_cast<const WinogradBlockedInt8Prepared &>(prep);
         const WinoDims d =
-            winoDimsBlocked(input.shape(), p.conv->config().variant,
-                            p.conv->config().pad);
+            winoDimsBlocked(input.shape(), p.blocked.config().variant,
+                            p.blocked.config().pad);
         const std::size_t tt = d.t * d.t;
         TensorI32 &xq = scratch.tensorI32(p.quantized, input.shape());
         // Physical MACs: the padded lanes compute too.
         const double macs =
             static_cast<double>(tt) *
-            static_cast<double>(p.blocked->coutb() * kLayoutBlock) *
-            static_cast<double>(p.blocked->cinb() * kLayoutBlock) *
+            static_cast<double>(p.blocked.coutb() * kLayoutBlock) *
+            static_cast<double>(p.blocked.cinb() * kLayoutBlock) *
             static_cast<double>(d.tiles);
-        p.blocked->forwardInto(
+        p.blocked.forwardInto(
             input, xq, scratch.buffer<std::int32_t>(p.tiles),
             scratch.buffer<std::int32_t>(p.scatter),
             scratch.buffer<std::int16_t>(p.narrowed),

@@ -530,7 +530,6 @@ makeKronPlan(const Matrix<Rational> &);
 template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 template const WinoKronPlan<std::int32_t> &winoInputKron(WinoVariant);
-template const WinoKronPlan<std::int64_t> &winoInputKron(WinoVariant);
 template const WinoKronPlan<float> &winoOutputKron(WinoVariant);
 template const WinoKronPlan<double> &winoOutputKron(WinoVariant);
 template const WinoKronPlan<std::int64_t> &winoOutputKron(WinoVariant);
@@ -550,9 +549,6 @@ template void winogradGatherTiles(const Tensor<float> &, WinoVariant,
                                   std::size_t, Tensor<float> &);
 template void winogradGatherTiles(const Tensor<double> &, WinoVariant,
                                   std::size_t, Tensor<double> &);
-template void winogradGatherTiles(const Tensor<std::int64_t> &,
-                                  WinoVariant, std::size_t,
-                                  Tensor<std::int64_t> &);
 template void winogradScatterAddTiles(const Tensor<double> &,
                                       WinoVariant, std::size_t,
                                       Tensor<double> &);
@@ -572,8 +568,6 @@ template void winogradUntile(const Tensor<float> &, WinoVariant,
                              Tensor<float> &);
 template void winogradUntile(const Tensor<double> &, WinoVariant,
                              Tensor<double> &);
-template void winogradUntile(const Tensor<std::int64_t> &, WinoVariant,
-                             Tensor<std::int64_t> &);
 template void winogradGather(const Tensor<float> &, WinoVariant,
                              Tensor<float> &, Tensor<float> &);
 template void winogradGather(const Tensor<double> &, WinoVariant,

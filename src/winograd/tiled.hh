@@ -20,8 +20,7 @@
  * channels) is identical to conv2dWinogradPre, so results match the
  * tile-at-a-time reference bit for bit on hardware without FMA
  * contraction, and within rounding everywhere else. The same three
- * stages run the integer path (quant/int_winograd) and the
- * winograd-aware training layer (nn/wino_conv).
+ * stages run the winograd-aware training layer (nn/wino_conv).
  */
 
 #ifndef TWQ_WINOGRAD_TILED_HH
@@ -347,31 +346,9 @@ Tensor<T> conv2dWinogradTiled(const Tensor<T> &input,
                               const WinogradTapWeights<T> &w,
                               std::size_t pad = 1);
 
-// Raw-pointer helpers shared with the integer pipeline
-// (quant/int_winograd) and the training layer (nn/wino_conv). The
-// t x t products run gemm::referenceGemm — operands this small never
+// Raw-pointer helper of the training layer (nn/wino_conv). The t x t
+// products run gemm::referenceGemm — operands this small never
 // amortize the blocked core's packing.
-
-/**
- * y = l x l^T for flat row-major square tiles ([t,t]); `tmp` is a
- * caller-provided [t*t] workspace. Accumulation order matches
- * matmul() so results are bit-compatible with the reference path.
- */
-template <typename T>
-inline void
-transformTileFlat(const T *l, const T *x, std::size_t t, T *tmp, T *y)
-{
-    gemm::referenceGemm(l, x, tmp, t, t, t);
-    // y = tmp * l^T without materializing the transpose.
-    for (std::size_t i = 0; i < t; ++i) {
-        for (std::size_t j = 0; j < t; ++j) {
-            T s{};
-            for (std::size_t k = 0; k < t; ++k)
-                s += tmp[i * t + k] * l[j * t + k];
-            y[i * t + j] = s;
-        }
-    }
-}
 
 /**
  * res = a y a^T with a of shape [m, t] (flat row-major) and y [t, t];
@@ -389,44 +366,6 @@ outputTransformFlat(const T *a, const T *y, std::size_t m, std::size_t t,
             for (std::size_t k = 0; k < t; ++k)
                 s += tmp[i * t + k] * a[j * t + k];
             res[i * m + j] = s;
-        }
-    }
-}
-
-/**
- * Copy the [t, t] input window feeding output block (ty*m, tx*m) of
- * image n, channel c into flat row-major `tile`; out-of-range samples
- * (padding) read as zero.
- */
-template <typename T>
-inline void
-extractInputTileFlat(const Tensor<T> &input, std::size_t n,
-                     std::size_t c, std::size_t ty, std::size_t tx,
-                     const WinoDims &d, std::size_t pad, T *tile)
-{
-    const std::size_t h = input.dim(2);
-    const std::size_t w = input.dim(3);
-    const T *plane =
-        input.data() + (n * input.dim(1) + c) * h * w;
-    const std::ptrdiff_t y0 = static_cast<std::ptrdiff_t>(ty * d.m) -
-                              static_cast<std::ptrdiff_t>(pad);
-    const std::ptrdiff_t x0 = static_cast<std::ptrdiff_t>(tx * d.m) -
-                              static_cast<std::ptrdiff_t>(pad);
-    for (std::size_t i = 0; i < d.t; ++i) {
-        const std::ptrdiff_t iy = y0 + static_cast<std::ptrdiff_t>(i);
-        T *row = tile + i * d.t;
-        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            for (std::size_t j = 0; j < d.t; ++j)
-                row[j] = T{};
-            continue;
-        }
-        const T *src = plane + static_cast<std::size_t>(iy) * w;
-        for (std::size_t j = 0; j < d.t; ++j) {
-            const std::ptrdiff_t ix =
-                x0 + static_cast<std::ptrdiff_t>(j);
-            row[j] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                         ? T{}
-                         : src[static_cast<std::size_t>(ix)];
         }
     }
 }
@@ -456,8 +395,6 @@ extern template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<std::int32_t> &
 winoInputKron(WinoVariant);
-extern template const WinoKronPlan<std::int64_t> &
-winoInputKron(WinoVariant);
 extern template const WinoKronPlan<float> &winoOutputKron(WinoVariant);
 extern template const WinoKronPlan<double> &winoOutputKron(WinoVariant);
 extern template const WinoKronPlan<std::int64_t> &
@@ -480,9 +417,6 @@ extern template void winogradGatherTiles(const Tensor<float> &,
 extern template void winogradGatherTiles(const Tensor<double> &,
                                          WinoVariant, std::size_t,
                                          Tensor<double> &);
-extern template void winogradGatherTiles(const Tensor<std::int64_t> &,
-                                         WinoVariant, std::size_t,
-                                         Tensor<std::int64_t> &);
 extern template void winogradScatterAddTiles(const Tensor<double> &,
                                              WinoVariant, std::size_t,
                                              Tensor<double> &);
@@ -504,8 +438,6 @@ extern template void winogradUntile(const Tensor<float> &, WinoVariant,
                                     Tensor<float> &);
 extern template void winogradUntile(const Tensor<double> &, WinoVariant,
                                     Tensor<double> &);
-extern template void winogradUntile(const Tensor<std::int64_t> &,
-                                    WinoVariant, Tensor<std::int64_t> &);
 extern template void winogradGather(const Tensor<float> &, WinoVariant,
                                     Tensor<float> &, Tensor<float> &);
 extern template void winogradGather(const Tensor<double> &, WinoVariant,

@@ -1,18 +1,17 @@
 /**
  * @file
- * Bit-identity of the NCHWc8 blocked integer Winograd pipeline
- * against the tile-at-a-time oracles, across variants, bit widths,
- * quantization granularities, and shapes with odd H/W and C % 8 != 0.
- * The fully integer path (forwardInt8) must match
- * IntWinogradConv::forwardInt8Reference bit for bit — integer sums
- * are order-free, so the blocked re-layout cannot change a single
- * value. The FP dequant path runs the vectorized blocked form (FMA
- * Kronecker row passes), so like the FP blocked pipeline it is
- * tolerance-equal to the NCHW engine. Also covers the widening
- * layout kernels (tap GEMM, integer kron, requantization narrowing)
- * against their scalar references, sharded == serial bit-identity
- * for the blocked int8 tap GEMM, and the chunked forwardInto against
- * the whole-buffer chain of public stage calls, bit for bit.
+ * Bit-identity of the NCHWc8 blocked integer Winograd engine against
+ * the tile-at-a-time oracles (IntWinogradConv::forward and
+ * forwardInt8), across variants, bit widths, quantization
+ * granularities, and shapes with odd H/W and C % 8 != 0. Integer sums
+ * are order-free and the FP dequant of both runs the same row-pass
+ * order over the same fused scales, so the blocked re-layout cannot
+ * change a single value. Also covers the engine outliving the conv it
+ * was built from, the widening layout kernels (tap GEMM, integer
+ * kron, requantization narrowing) against their scalar references,
+ * sharded == serial bit-identity for the blocked int8 tap GEMM, and
+ * the chunked forwardInto against the whole-buffer chain of public
+ * stage calls, bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common/rng.hh"
@@ -71,7 +71,7 @@ class BlockedIntWino : public ::testing::TestWithParam<Case>
     }
 };
 
-TEST_P(BlockedIntWino, ForwardMatchesNchwPipeline)
+TEST_P(BlockedIntWino, ForwardBitIdenticalToReference)
 {
     const Case &c = GetParam();
     const IntWinogradConfig cfg = makeConfig();
@@ -91,9 +91,7 @@ TEST_P(BlockedIntWino, ForwardMatchesNchwPipeline)
     TensorD out(ref.shape());
     blockedToNchw(outBlocked, out);
     for (std::size_t i = 0; i < ref.numel(); ++i)
-        ASSERT_NEAR(out[i], ref[i],
-                    1e-9 * (std::abs(ref[i]) + 1.0))
-            << "element " << i;
+        ASSERT_EQ(out[i], ref[i]) << "element " << i;
 
     // Padded output lanes must be exact zeros, or reused arena slots
     // would leak stale values across calls.
@@ -128,8 +126,7 @@ TEST_P(BlockedIntWino, ForwardInt8BitIdenticalToReference)
     for (const bool relu : {false, true}) {
         double s_blk = 0.0, s_ref = 0.0;
         const TensorI8 blocked = blk.forwardInt8(xb, &s_blk, relu);
-        const TensorI8 ref =
-            conv.forwardInt8Reference(x, &s_ref, relu);
+        const TensorI8 ref = conv.forwardInt8(x, &s_ref, relu);
         EXPECT_EQ(s_blk, s_ref);
         TensorI8 out(ref.shape());
         blockedToNchw(blocked, out);
@@ -137,6 +134,42 @@ TEST_P(BlockedIntWino, ForwardInt8BitIdenticalToReference)
             ASSERT_EQ(out[i], ref[i])
                 << "element " << i << " relu=" << relu;
     }
+}
+
+TEST_P(BlockedIntWino, OutlivesItsSourceConv)
+{
+    // The engine copies what it reads from the conv it was built
+    // from, so it keeps serving the same bits after the conv is gone.
+    const Case &c = GetParam();
+    const IntWinogradConfig cfg = makeConfig();
+    const TensorD w = randomTensor({c.cout, c.input[1], 3, 3}, 5000);
+    const std::vector<TensorD> cal{randomTensor(c.input, 5001)};
+    const TensorD x = randomTensor(c.input, 5002);
+    TensorD xb(blockedShape(x.shape()));
+    nchwToBlocked(x, xb);
+
+    std::optional<BlockedIntWinograd> blk;
+    TensorD fpAlive;
+    TensorI8 i8Alive;
+    double sAlive = 0.0;
+    {
+        const IntWinogradConv conv(w, cal, cfg);
+        blk.emplace(conv);
+        fpAlive = blk->forward(xb);
+        if (c.pow2)
+            i8Alive = blk->forwardInt8(xb, &sAlive, true);
+    }
+    const TensorD fp = blk->forward(xb);
+    ASSERT_EQ(fp.shape(), fpAlive.shape());
+    EXPECT_EQ(std::memcmp(fp.data(), fpAlive.data(),
+                          fp.numel() * sizeof(double)),
+              0);
+    if (!c.pow2)
+        return; // forwardInt8 requires power-of-two scales
+    double s = 0.0;
+    const TensorI8 i8 = blk->forwardInt8(xb, &s, true);
+    EXPECT_EQ(s, sAlive);
+    EXPECT_TRUE(i8 == i8Alive);
 }
 
 TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)
